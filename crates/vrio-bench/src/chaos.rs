@@ -109,6 +109,15 @@ pub enum ChaosError {
         /// Campaign name.
         campaign: String,
     },
+    /// `admission.tenant_weights` names some tenants but not every VM.
+    TenantWeights {
+        /// Campaign name.
+        campaign: String,
+        /// How many weights the campaign gives.
+        weights: usize,
+        /// How many VMs (tenants) it runs.
+        vms: usize,
+    },
     /// An IOhost's outage schedule failed validation.
     InvalidSchedule {
         /// Campaign name.
@@ -137,6 +146,15 @@ impl fmt::Display for ChaosError {
             ChaosError::BadBucket { campaign } => write!(
                 out,
                 "chaos campaign '{campaign}': bucket must be positive and no larger than the horizon"
+            ),
+            ChaosError::TenantWeights {
+                campaign,
+                weights,
+                vms,
+            } => write!(
+                out,
+                "chaos campaign '{campaign}': admission.tenant_weights names {weights} \
+                 weights for {vms} VMs; give every VM a weight or none"
             ),
             ChaosError::InvalidSchedule {
                 campaign,
@@ -253,6 +271,14 @@ impl ChaosCampaign {
         if self.bucket.is_zero() || self.bucket.as_nanos() > self.horizon.as_nanos() {
             return Err(ChaosError::BadBucket {
                 campaign: self.name.clone(),
+            });
+        }
+        let weights = self.admission.tenant_weights.len();
+        if weights != 0 && weights != self.vms {
+            return Err(ChaosError::TenantWeights {
+                campaign: self.name.clone(),
+                weights,
+                vms: self.vms,
             });
         }
         for (k, sched) in self.outages.iter().enumerate() {
@@ -867,6 +893,23 @@ mod tests {
             c.validate().unwrap_err().to_string(),
             "chaos campaign 'primary-kill': bucket must be positive and no larger than the horizon"
         );
+        let mut c = tiny("surge");
+        c.vms = 3;
+        assert_eq!(
+            c.validate().unwrap_err().to_string(),
+            "chaos campaign 'surge': admission.tenant_weights names 2 weights for 3 VMs; \
+             give every VM a weight or none"
+        );
+        // Refused up front instead of panicking inside a replica.
+        assert!(matches!(
+            run_chaos(&c, 1, false),
+            Err(ChaosError::TenantWeights { .. })
+        ));
+        c.admission.tenant_weights = vec![3, 1, 1];
+        c.validate().expect("one weight per VM");
+        c.admission.tenant_weights.clear();
+        c.validate()
+            .expect("no weights: every tenant weighs the same");
         let mut c = tiny("primary-kill");
         c.outages = vec![vec![Outage {
             fails_at: SimTime::ZERO + SimDuration::millis(2),

@@ -71,6 +71,16 @@ impl BlockRequest {
         }
     }
 
+    /// Bytes of data the request moves: the payload of a write, the
+    /// length of a read, nothing for a flush.
+    pub fn moved_bytes(&self) -> usize {
+        match self.kind {
+            BlockKind::Write => self.data.len(),
+            BlockKind::Read => self.len as usize,
+            BlockKind::Flush => 0,
+        }
+    }
+
     /// Byte offset of the first addressed sector.
     pub fn byte_offset(&self) -> u64 {
         self.sector * SECTOR_SIZE

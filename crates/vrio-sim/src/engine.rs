@@ -9,9 +9,16 @@
 //!
 //! Two event representations share the one engine:
 //!
-//! - **Closure events** (the default, `E = `[`BoxedEvent<W>`]): each
-//!   `schedule_at` boxes a `FnOnce` — one heap allocation per scheduled
-//!   event. Maximally flexible; this is what the testbed flows use.
+//! - **Boxed events** (the default, `E = `[`BoxedEvent<W>`]) come in two
+//!   shapes. A *closure* event (`schedule_at` and friends) boxes a
+//!   `FnOnce` — one heap allocation per scheduled event, maximally
+//!   flexible; drivers and workloads use it. A *call* event
+//!   ([`Engine::schedule_call_at`]) is a plain function pointer plus a
+//!   `u64` argument and owns no heap memory; the testbed's compiled flows
+//!   hop with it, passing the index of their flow record. A continuation
+//!   that must outlive many hops is boxed once and [parked](Engine::park)
+//!   in the engine, then redeemed exactly once with
+//!   [`Engine::take_parked`] — so a request costs one box, not one per hop.
 //! - **Typed events**: instantiate `Engine<W, E>` with a plain `enum`
 //!   implementing [`Dispatch<W>`] and schedule with
 //!   [`Engine::schedule_event_at`]. Events are stored *by value* inside
@@ -20,8 +27,8 @@
 //!   performs **zero heap allocations per event** (asserted by the
 //!   counting-allocator perf harness in `vrio-bench`). A `Send`-able
 //!   event enum is also the prerequisite for sharding the simulation
-//!   across threads (ROADMAP item 1) — `Box<dyn FnOnce>` closures are
-//!   neither `Send` nor serializable across shard boundaries.
+//!   across threads — `Box<dyn FnOnce>` closures are neither `Send` nor
+//!   serializable across shard boundaries.
 //!
 //! Both representations fire in identical `(time, seq)` order; the
 //! differential proptest in this crate's test suite replays arbitrary
@@ -50,24 +57,46 @@ use crate::wheel::{ReferenceHeap, TimingWheel};
 /// A scheduled closure-event callback (the payload of [`BoxedEvent`]).
 pub type EventFn<W> = Box<dyn FnOnce(&mut W, &mut Engine<W>)>;
 
-/// How an event payload fires. Implemented by [`BoxedEvent`] (closure
-/// dispatch) and by user-defined typed event enums; the world interprets
-/// the event, so a typed `E` needs no per-event heap state.
+/// How an event payload fires. Implemented by [`BoxedEvent`] (closure and
+/// function-call dispatch) and by user-defined typed event enums; the
+/// world interprets the event, so a typed `E` needs no per-event heap
+/// state.
 pub trait Dispatch<W>: Sized {
     /// Consumes the event, mutating the world and possibly scheduling
     /// further events.
     fn dispatch(self, world: &mut W, eng: &mut Engine<W, Self>);
 }
 
-/// The default event payload: a boxed `FnOnce` closure. (A newtype —
-/// a recursive `type` alias cannot name itself in its own definition.)
-pub struct BoxedEvent<W>(pub EventFn<W>);
+/// A [`BoxedEvent::Call`] target: a plain function receiving the event's
+/// `u64` argument.
+pub type CallFn<W> = fn(&mut W, &mut Engine<W>, u64);
+
+/// The default event payload: a boxed closure, or a function call that
+/// allocates nothing.
+pub enum BoxedEvent<W> {
+    /// A boxed `FnOnce` closure: one heap allocation per event.
+    Closure(EventFn<W>),
+    /// A function pointer and its argument: no heap memory at all.
+    Call(CallFn<W>, u64),
+}
 
 impl<W> Dispatch<W> for BoxedEvent<W> {
     #[inline]
     fn dispatch(self, world: &mut W, eng: &mut Engine<W>) {
-        (self.0)(world, eng)
+        match self {
+            BoxedEvent::Closure(f) => f(world, eng),
+            BoxedEvent::Call(f, arg) => f(world, eng, arg),
+        }
     }
+}
+
+/// A claim on an event parked with [`Engine::park`]. Redeemable once: the
+/// first [`Engine::take_parked`] gets the event, every later one (even
+/// after the slot was reused by another park) gets `None`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Ticket {
+    slot: u32,
+    generation: u32,
 }
 
 /// The engine's event queue: the timing wheel in production, the reference
@@ -172,6 +201,12 @@ pub struct Engine<W, E: Dispatch<W> = BoxedEvent<W>> {
     /// installed (see [`Engine::set_profiler`]), so the hot path pays one
     /// branch when profiling is off.
     profiler: Option<Profiler>,
+    /// Parked events by slot, each with the generation its next ticket
+    /// carries (see [`Engine::park`]). Grows on demand; freed slots are
+    /// reused, so steady-state parking allocates nothing.
+    parked: Vec<(u32, Option<E>)>,
+    /// Free slots of `parked`.
+    parked_free: Vec<u32>,
     /// `W` appears only in the `Dispatch` bound, not in any field.
     _world: PhantomData<fn(&mut W)>,
 }
@@ -192,6 +227,8 @@ impl<W, E: Dispatch<W>> Engine<W, E> {
             queue: Queue::Wheel(TimingWheel::new()),
             probe: None,
             profiler: None,
+            parked: Vec::new(),
+            parked_free: Vec::new(),
             _world: PhantomData,
         }
     }
@@ -207,6 +244,8 @@ impl<W, E: Dispatch<W>> Engine<W, E> {
             queue: Queue::Heap(ReferenceHeap::new()),
             probe: None,
             profiler: None,
+            parked: Vec::new(),
+            parked_free: Vec::new(),
             _world: PhantomData,
         }
     }
@@ -286,6 +325,44 @@ impl<W, E: Dispatch<W>> Engine<W, E> {
     /// pending at the current time.
     pub fn schedule_event_now(&mut self, ev: E) {
         self.schedule_event_at(self.now, ev);
+    }
+
+    /// Parks `ev` outside the queue: it never fires on its own, and the
+    /// returned ticket redeems it once via [`Engine::take_parked`]. Used
+    /// for a continuation that several paths race to run (whoever takes
+    /// the ticket first wins).
+    pub fn park(&mut self, ev: E) -> Ticket {
+        match self.parked_free.pop() {
+            Some(slot) => {
+                let entry = &mut self.parked[slot as usize];
+                entry.1 = Some(ev);
+                Ticket {
+                    slot,
+                    generation: entry.0,
+                }
+            }
+            None => {
+                let slot = u32::try_from(self.parked.len()).expect("parked slots fit u32");
+                self.parked.push((0, Some(ev)));
+                Ticket {
+                    slot,
+                    generation: 0,
+                }
+            }
+        }
+    }
+
+    /// Takes the event parked under `ticket`, or `None` when it was
+    /// already taken.
+    pub fn take_parked(&mut self, ticket: Ticket) -> Option<E> {
+        let entry = self.parked.get_mut(ticket.slot as usize)?;
+        if entry.0 != ticket.generation {
+            return None;
+        }
+        let ev = entry.1.take()?;
+        entry.0 = entry.0.wrapping_add(1);
+        self.parked_free.push(ticket.slot);
+        Some(ev)
     }
 
     /// Fires the next pending event, advancing time to its deadline.
@@ -384,7 +461,20 @@ impl<W> Engine<W> {
     where
         F: FnOnce(&mut W, &mut Engine<W>) + 'static,
     {
-        self.schedule_event_at(at, BoxedEvent(Box::new(f)));
+        self.schedule_event_at(at, BoxedEvent::Closure(Box::new(f)));
+    }
+
+    /// Schedules `f(world, engine, arg)` to fire at absolute time `at`.
+    /// Unlike a closure event this allocates nothing: the payload is a
+    /// function pointer and one `u64`.
+    pub fn schedule_call_at(&mut self, at: SimTime, f: CallFn<W>, arg: u64) {
+        self.schedule_event_at(at, BoxedEvent::Call(f, arg));
+    }
+
+    /// Schedules `f(world, engine, arg)` to fire `delay` after the current
+    /// time.
+    pub fn schedule_call_in(&mut self, delay: SimDuration, f: CallFn<W>, arg: u64) {
+        self.schedule_call_at(self.now + delay, f, arg);
     }
 
     /// Schedules `f` to fire `delay` after the current time.
@@ -556,6 +646,41 @@ mod tests {
         assert_eq!(n, 1);
         eng.run_for(&mut n, SimDuration::nanos(300));
         assert_eq!(n, 2);
+    }
+
+    /// Call events and closure events share one `(time, seq)` order.
+    #[test]
+    fn call_events_interleave_with_closures_in_fifo_order() {
+        fn push(w: &mut Vec<u32>, _: &mut Engine<Vec<u32>>, arg: u64) {
+            w.push(arg as u32);
+        }
+        let mut order: Vec<u32> = Vec::new();
+        let mut eng: Engine<Vec<u32>> = Engine::new();
+        eng.schedule_call_at(SimTime::from_nanos(50), push, 2);
+        eng.schedule_at(SimTime::from_nanos(50), |w, _| w.push(3));
+        eng.schedule_call_in(SimDuration::nanos(10), push, 1);
+        eng.run(&mut order);
+        assert_eq!(order, vec![1, 2, 3]);
+        assert_eq!(eng.events_fired(), 3);
+    }
+
+    /// A parked event is redeemed exactly once, and a stale ticket never
+    /// takes the event parked after its slot was reused.
+    #[test]
+    fn parked_events_are_taken_once() {
+        let mut eng: Engine<u32> = Engine::new();
+        let a = eng.park(BoxedEvent::Closure(Box::new(|w: &mut u32, _| *w += 1)));
+        assert_eq!(eng.pending(), 0, "parking schedules nothing");
+        let mut hits = 0u32;
+        let ev = eng.take_parked(a).expect("first take wins");
+        ev.dispatch(&mut hits, &mut eng);
+        assert_eq!(hits, 1);
+        assert!(eng.take_parked(a).is_none(), "second take loses");
+        let b = eng.park(BoxedEvent::Closure(Box::new(|w: &mut u32, _| *w += 10)));
+        assert_ne!(a, b, "a reused slot carries a new generation");
+        assert!(eng.take_parked(a).is_none(), "stale ticket");
+        eng.take_parked(b).unwrap().dispatch(&mut hits, &mut eng);
+        assert_eq!(hits, 11);
     }
 
     /// Typed events fire interchangeably with closure events: same

@@ -65,7 +65,7 @@ mod stats;
 mod time;
 mod wheel;
 
-pub use engine::{BoxedEvent, Dispatch, Engine, EventFn};
+pub use engine::{BoxedEvent, CallFn, Dispatch, Engine, EventFn, Ticket};
 pub use profiler::{ProfGuard, ProfReport, Profiler, ScopeStats};
 pub use rng::{scenario_seed, SimRng};
 pub use stats::{BusyTracker, Histogram, OnlineStats};

@@ -6,14 +6,19 @@
 //! A benchmark flow (one netperf request-response, one stream batch, one
 //! block request) is compiled into a list of [`Step`]s — fixed latencies,
 //! FIFO charges against cores/links/devices, event-counter increments, and
-//! real data-plumbing closures (virtqueue operations, vRIO encapsulation,
-//! interposition transforms) — which a small interpreter executes as
-//! engine events. Queueing, contention and saturation all emerge from the
-//! FIFO charges; no queueing formula is baked in anywhere.
+//! named real data-plumbing operations (virtqueue operations, vRIO
+//! encapsulation, interposition transforms) — which a small interpreter
+//! executes as engine events. Queueing, contention and saturation all
+//! emerge from the FIFO charges; no queueing formula is baked in anywhere.
+//!
+//! Steps are plain data. Each in-flight flow owns one record in a slab on
+//! the [`Testbed`], holding its program, the request it serves and the
+//! payloads its steps hand to each other; a hop between steps is a
+//! function-pointer event carrying the record's index, so it allocates
+//! nothing. The caller's continuation is boxed once per request and
+//! parked in the engine until the flow completes (DESIGN.md §15).
 
-use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
-use std::rc::Rc;
+use std::collections::HashMap;
 
 use bytes::Bytes;
 use vrio_block::{BlockKind, BlockRequest, DeviceProfile, Ramdisk};
@@ -21,9 +26,11 @@ use vrio_hv::ReliabilityCounters;
 use vrio_hv::{CostModel, EventCounters, IoModel, Vm, VmId};
 use vrio_net::{
     reassemble_train, segment_message_into, FaultConfig, FaultInjector, Reassembler, Segment,
-    SkbPool, MTU_VRIO_JUMBO,
+    SkbPool, MAX_TSO_MSG, MTU_VRIO_JUMBO,
 };
-use vrio_sim::{BusyTracker, Engine, Profiler, SimDuration, SimRng, SimTime};
+use vrio_sim::{
+    BoxedEvent, BusyTracker, Dispatch, Engine, Profiler, SimDuration, SimRng, SimTime, Ticket,
+};
 use vrio_trace::{
     DropCause, SloLedger, SpanId, Stage, Telemetry, TelemetryConfig, TraceConfig, Tracer,
 };
@@ -36,8 +43,8 @@ use crate::health::{
 };
 use crate::interpose::{Direction, InterpositionChain, Verdict};
 use crate::iohost::{AdaptivePollConfig, PollMode, WorkerPoll};
-use crate::oracle::{Oracle, OracleConfig};
-use crate::proto::{DeviceId, VrioMsg, VrioMsgKind};
+use crate::oracle::{FlowToken, Oracle, OracleConfig};
+use crate::proto::{DeviceId, VrioMsg, VrioMsgKind, VRIO_HDR_SIZE};
 use crate::transport::{BlockRetx, ResponseAction, RetxConfig, TimeoutAction};
 
 /// Gives the engine world access to the embedded [`Testbed`]; workload
@@ -83,8 +90,6 @@ impl Resource {
 pub enum CoreRef {
     /// Load-generator core serving VM `i`.
     Gen(usize),
-    /// The VCPU core of VM `i`.
-    Vm(usize),
     /// Backend core `i`: an Elvis sidecore, a vhost core, or a vRIO worker.
     Backend(usize),
     /// The shared per-generator-machine resource (NIC/PCIe/memory bus).
@@ -112,7 +117,11 @@ pub enum CounterKind {
     IohostIntr,
 }
 
-/// One step of a compiled benchmark flow.
+/// One step of a compiled benchmark flow. Plain data: a step that moves
+/// real bytes names the operation, and the payloads it reads and writes
+/// live in the flow's record (see [`Testbed`]'s flow slab), so neither a
+/// step nor a hop between steps boxes anything.
+#[derive(Debug, Clone, Copy)]
 pub enum Step {
     /// Pure latency (wire propagation, DMA, ELI delivery).
     Fixed(SimDuration),
@@ -126,12 +135,6 @@ pub enum Step {
     ChargeVmAsync(usize, SimDuration),
     /// Increment a Table 3 counter.
     Count(CounterKind),
-    /// Run real data plumbing (ring ops, encapsulation, interposition).
-    Do(Box<dyn FnOnce(&mut Testbed)>),
-    /// Run a predicate (receiving the current time); `false` aborts the
-    /// rest of the flow silently (a dropped frame — retransmission timers
-    /// handle recovery).
-    Gate(GateFn),
     /// Polling pickup at backend `i`: poll interval plus the mwait wake
     /// penalty if the worker was idle.
     Pickup(usize),
@@ -139,34 +142,218 @@ pub enum Step {
     RingPush(usize),
     /// Mark the packet picked up by its backend (occupancy −1).
     RingPop(usize),
-    /// Record a stage transition on an open trace span. Processed inline
-    /// (never scheduled), so pushing marks into a flow perturbs neither
-    /// event ordering nor RNG streams — traced runs stay bit-identical.
-    Mark(SpanId, Stage),
+    /// Record a stage transition on the flow's trace span. Processed
+    /// inline (never scheduled), so pushing marks into a flow perturbs
+    /// neither event ordering nor RNG streams — traced runs stay
+    /// bit-identical.
+    Mark(Stage),
+    /// The guest receives the flow's inbound payload on its net rx ring
+    /// (deliver, receive, refill).
+    DeliverRx,
+    /// The VMhost transport decodes the flow's encapsulated vRIO NetRx
+    /// message, checks its payload against what the worker sent, and
+    /// delivers it to the guest.
+    DecapNetRx,
+    /// The guest transmits the flow's response payload.
+    SendResp,
+    /// The back-end fetches and completes the guest's transmitted frame,
+    /// interposing on it in the given direction, if any; the result
+    /// becomes the flow's response.
+    FetchTx(Option<Direction>),
+    /// IOhost worker `b` interposes on the response outbound and releases
+    /// its steering designation.
+    OutboundInterposeRelease(usize),
+    /// Release the steering designation on backend `b` after its pass.
+    ReleaseBackend(usize),
+    /// A frame arrives at IOhost `iohost`, designated for `backend`:
+    /// outage, ring overflow, channel loss and admission are tested in
+    /// that order, and a refused frame ends the flow. A network flow is
+    /// the whole request, so its drop is attributed to a cause; a block
+    /// attempt is left to its retransmission timer.
+    IngressGate {
+        /// Destination IOhost.
+        iohost: usize,
+        /// Destination backend (global index).
+        backend: usize,
+    },
+    /// Execute the flow's block request on the VM's backing store (real
+    /// bytes), interposing on the data that moves. `Some(b)`: at IOhost
+    /// worker `b`, which first reassembles (TSO) and decodes the
+    /// encapsulated request, and releases its designation afterwards.
+    BlkExecute(Option<usize>),
+    /// The VMhost transport receives the block response: a stale one
+    /// (its attempt was superseded) ends the flow.
+    BlkResponseGate,
+    /// A channel-duplicated copy of the response arrives right behind the
+    /// original and filters as stale; the flow continues.
+    StaleDupGate,
 }
 
-/// A flow-completion continuation.
-pub type FlowDone<W> = Box<dyn FnOnce(&mut W, &mut Engine<W>)>;
-/// A [`Step::Gate`] predicate: `false` aborts the rest of the flow.
-pub type GateFn = Box<dyn FnOnce(&mut Testbed, SimTime) -> bool>;
-/// The shared once-only completion slot of a block flow (completion and
-/// device-error paths race; whoever arrives first takes the callback).
-type BlkDoneCell<W> = Rc<RefCell<Option<Box<dyn FnOnce(&mut W, &mut Engine<W>, BlkOutcome)>>>>;
+/// What a flow does when its program runs out.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum FlowEnd {
+    /// A network request-response: hand the outcome to the caller.
+    Rr,
+    /// A stream batch: tell the caller.
+    Stream,
+    /// A block request's guest-side submission: start the back-end half.
+    BlkSubmitted,
+    /// A block back-end pass (local, or one vRIO attempt): complete the
+    /// request on the guest ring, unless its timer already failed it.
+    BlkDone,
+}
 
-/// Executes a compiled flow as chained engine events.
-pub fn run_steps<W: HasTestbed>(
-    w: &mut W,
-    eng: &mut Engine<W>,
-    mut steps: VecDeque<Step>,
-    done: FlowDone<W>,
-) {
+/// Index of a [`Flow`] record in the testbed's flow slab.
+type FlowId = usize;
+
+/// Whom a flow works for: the request's VM, issue time, trace span,
+/// oracle flow, and the caller's continuation parked in the engine.
+#[derive(Debug, Clone, Copy)]
+struct Origin {
+    vm: usize,
+    t0: SimTime,
+    span: SpanId,
+    token: FlowToken,
+    done: Option<Ticket>,
+}
+
+/// An [`Origin`] whose continuation is parked once the flow is compiled.
+fn origin(vm: usize, t0: SimTime, span: SpanId, token: FlowToken) -> Origin {
+    Origin {
+        vm,
+        t0,
+        span,
+        token,
+        done: None,
+    }
+}
+
+/// The state of one in-flight flow: its compiled program, the request it
+/// serves, and the payloads its steps hand to each other. A vRIO block
+/// request's retransmission timer is a record without a program, and each
+/// retransmitted attempt gets a record of its own.
+struct Flow {
+    /// The compiled program and the index of its next step.
+    steps: Vec<Step>,
+    pc: usize,
+    end: FlowEnd,
+    origin: Origin,
+    /// The block request (block flows only) and its descriptor head on
+    /// the guest ring.
+    req: Option<BlockRequest>,
+    head: u16,
+    /// The vRIO wire id of this attempt (the timer's: the latest one).
+    wire_id: u64,
+    /// The first retransmission timeout, from submission until the first
+    /// attempt arms its timer.
+    timeout: SimDuration,
+    /// Net: the inbound payload the guest receives. Block: the request
+    /// data the attempt encapsulates.
+    data: Bytes,
+    /// The guest's response payload (net).
+    response: Bytes,
+    /// The encapsulated vRIO message in flight, and the payload that went
+    /// into it (for the oracle's byte check).
+    encoded: Bytes,
+    fwd_check: Bytes,
+    /// Data read from the backing store.
+    read_out: Bytes,
+}
+
+impl Flow {
+    fn blank() -> Flow {
+        Flow {
+            steps: Vec::new(),
+            pc: 0,
+            end: FlowEnd::Rr,
+            origin: origin(0, SimTime::ZERO, SpanId::NONE, FlowToken::NONE),
+            req: None,
+            head: 0,
+            wire_id: 0,
+            timeout: SimDuration::ZERO,
+            data: Bytes::new(),
+            response: Bytes::new(),
+            encoded: Bytes::new(),
+            fwd_check: Bytes::new(),
+            read_out: Bytes::new(),
+        }
+    }
+}
+
+/// The in-flight flow records, indexed by [`FlowId`]. Records and step
+/// storage are both recycled: a closed record's slot serves the next
+/// flow and its program's storage returns to a spare pool, so
+/// steady-state flows allocate nothing here, and a record without a
+/// program holds no step storage.
+#[derive(Default)]
+struct FlowSlab {
+    recs: Vec<Flow>,
+    free: Vec<FlowId>,
+    spare: Vec<Vec<Step>>,
+}
+
+impl FlowSlab {
+    /// Opens a record for a new flow.
+    fn open(&mut self, end: FlowEnd, origin: Origin) -> FlowId {
+        let id = self.free.pop().unwrap_or_else(|| {
+            self.recs.push(Flow::blank());
+            self.recs.len() - 1
+        });
+        let f = &mut self.recs[id];
+        f.end = end;
+        f.origin = origin;
+        id
+    }
+
+    /// Opens a record serving the same block request as `from`: its
+    /// retransmission timer, or a retransmitted attempt.
+    fn fork(&mut self, from: FlowId) -> FlowId {
+        let f = &self.recs[from];
+        let (end, origin, req, head, wire_id) = (f.end, f.origin, f.req.clone(), f.head, f.wire_id);
+        let id = self.open(end, origin);
+        let f = &mut self.recs[id];
+        (f.req, f.head, f.wire_id) = (req, head, wire_id);
+        id
+    }
+
+    /// Takes empty step storage to compile flow `id`'s next program into
+    /// (store it back in the record's `steps`), rewinding the cursor.
+    fn take_steps(&mut self, id: FlowId) -> Vec<Step> {
+        let f = &mut self.recs[id];
+        f.pc = 0;
+        let mut steps = std::mem::take(&mut f.steps);
+        if steps.capacity() == 0 {
+            steps = self.spare.pop().unwrap_or_default();
+        }
+        steps.clear();
+        steps
+    }
+
+    /// Closes a record, releasing its payloads and recycling its storage.
+    fn close(&mut self, id: FlowId) {
+        let mut steps = std::mem::replace(&mut self.recs[id], Flow::blank()).steps;
+        if steps.capacity() > 0 {
+            steps.clear();
+            self.spare.push(steps);
+        }
+        self.free.push(id);
+    }
+}
+
+/// Runs flow `id` from its cursor. Inline steps execute at once; a step
+/// that waits schedules the flow's next hop as a call event, which owns
+/// no heap memory, and returns. When the program runs out the flow ends.
+fn run_flow<W: HasTestbed>(w: &mut W, eng: &mut Engine<W>, id: u64) {
+    let id = id as FlowId;
     loop {
-        let Some(step) = steps.pop_front() else {
-            w.tb().recycle_steps(steps);
-            done(w, eng);
-            return;
+        let now = eng.now();
+        let tb = w.tb();
+        let flow = &mut tb.flows.recs[id];
+        let Some(&step) = flow.steps.get(flow.pc) else {
+            return finish_flow(w, eng, id);
         };
-        match step {
+        flow.pc += 1;
+        let resume_at = match step {
             Step::Fixed(d) => {
                 // Coalesce a run of consecutive fixed delays into one
                 // scheduled event. Pure latencies have no observable effect
@@ -174,58 +361,31 @@ pub fn run_steps<W: HasTestbed>(
                 // summing them is exact: the flow resumes at the same
                 // instant, it just skips the intermediate no-op wakeups.
                 let mut total = d;
-                while let Some(Step::Fixed(next)) = steps.front() {
-                    total += *next;
-                    steps.pop_front();
+                while let Some(&Step::Fixed(next)) = flow.steps.get(flow.pc) {
+                    total += next;
+                    flow.pc += 1;
                 }
-                if total.is_zero() {
-                    continue;
-                }
-                eng.schedule_in(total, move |w: &mut W, eng| run_steps(w, eng, steps, done));
-                return;
+                (!total.is_zero()).then(|| now + total)
             }
-            Step::Charge(core, work) => {
-                let now = eng.now();
-                let end = w.tb().resource(core).charge(now, work);
-                eng.schedule_at(end, move |w: &mut W, eng| run_steps(w, eng, steps, done));
-                return;
-            }
+            Step::Charge(core, work) => Some(tb.resource(core).charge(now, work)),
             Step::ChargeAsync(core, work) => {
-                let now = eng.now();
-                w.tb().resource(core).charge(now, work);
+                tb.resource(core).charge(now, work);
+                None
             }
-            Step::ChargeVm(vm, work) => {
-                let now = eng.now();
-                let end = w.tb().vms[vm].cpu.run(now, work);
-                eng.schedule_at(end, move |w: &mut W, eng| run_steps(w, eng, steps, done));
-                return;
-            }
+            Step::ChargeVm(vm, work) => Some(tb.vms[vm].cpu.run(now, work)),
             Step::ChargeVmAsync(vm, work) => {
-                let now = eng.now();
-                w.tb().vms[vm].cpu.run(now, work);
+                tb.vms[vm].cpu.run(now, work);
+                None
             }
-            Step::Count(kind) => w.tb().count(kind),
-            Step::Do(f) => f(w.tb()),
-            Step::Gate(f) => {
-                let now = eng.now();
-                if !f(w.tb(), now) {
-                    // Flow aborted (frame dropped): the unfired steps are
-                    // discarded but the queue storage is still recycled.
-                    w.tb().recycle_steps(steps);
-                    return;
-                }
+            Step::Count(kind) => {
+                tb.count(kind);
+                None
             }
             Step::Pickup(b) => {
-                let now = eng.now();
-                let d = w.tb().pickup_delay(b, now);
-                if !d.is_zero() {
-                    eng.schedule_in(d, move |w: &mut W, eng| run_steps(w, eng, steps, done));
-                    return;
-                }
+                let d = tb.pickup_delay(b, now);
+                (!d.is_zero()).then(|| now + d)
             }
             Step::RingPush(b) => {
-                let now = eng.now();
-                let tb = w.tb();
                 tb.backends[b].pending += 1;
                 let doorbell = tb.worker_poll[b].on_arrival(now);
                 if tb.config.adaptive_poll.enabled && doorbell {
@@ -233,24 +393,142 @@ pub fn run_steps<W: HasTestbed>(
                     // physical IOhost interrupt; polled arrivals are free.
                     tb.count(CounterKind::IohostIntr);
                 }
+                None
             }
             Step::RingPop(b) => {
-                let now = eng.now();
-                let tb = w.tb();
                 let p = &mut tb.backends[b].pending;
                 *p = p.saturating_sub(1);
                 tb.worker_poll[b].on_activity(now);
+                None
             }
-            Step::Mark(span, stage) => {
-                let now = eng.now();
-                let tb = w.tb();
+            Step::Mark(stage) => {
+                let span = flow.origin.span;
                 tb.trace.mark(span, stage, now);
                 if tb.oracle.enabled() {
                     tb.oracle.on_mark(span, stage, now);
                     tb.audit_rings();
                 }
+                None
             }
+            Step::DeliverRx => {
+                let (vm, frame) = (flow.origin.vm, std::mem::take(&mut flow.data));
+                tb.deliver_rx(vm, &frame);
+                None
+            }
+            Step::DecapNetRx => {
+                tb.decap_net_rx(id);
+                None
+            }
+            Step::SendResp => {
+                tb.vms[flow.origin.vm]
+                    .net_send(&flow.response)
+                    .expect("tx slot");
+                None
+            }
+            Step::FetchTx(dir) => {
+                tb.fetch_tx(id, dir);
+                None
+            }
+            Step::OutboundInterposeRelease(b) => {
+                let (vm, payload) = (flow.origin.vm, flow.response.clone());
+                if let (Some(fwd), _cost) = tb.interpose(Direction::Outbound, payload) {
+                    tb.flows.recs[id].response = fwd;
+                }
+                tb.release_backend(vm, b);
+                None
+            }
+            Step::ReleaseBackend(b) => {
+                let vm = flow.origin.vm;
+                tb.release_backend(vm, b);
+                None
+            }
+            Step::IngressGate { iohost, backend } => {
+                if !tb.ingress_gate(id, iohost, backend, now) {
+                    return abort_flow(w, eng, id);
+                }
+                None
+            }
+            Step::BlkExecute(worker) => {
+                tb.blk_execute(id, worker);
+                None
+            }
+            Step::BlkResponseGate => {
+                let (vm, wire_id) = (flow.origin.vm, flow.wire_id);
+                let action = tb.retx[vm].on_response(wire_id, now);
+                if !matches!(action, ResponseAction::Accept { .. }) {
+                    return abort_flow(w, eng, id);
+                }
+                None
+            }
+            Step::StaleDupGate => {
+                let (vm, wire_id) = (flow.origin.vm, flow.wire_id);
+                let r = tb.retx[vm].on_response(wire_id, now);
+                debug_assert!(matches!(r, ResponseAction::Stale));
+                None
+            }
+        };
+        if let Some(at) = resume_at {
+            eng.schedule_call_at(at, run_flow::<W>, id as u64);
+            return;
         }
+    }
+}
+
+/// A gate refused the flow's frame: the rest of its program never runs.
+/// A network flow was the whole request, so its continuation is dropped
+/// unrun; a block attempt's stays parked for the retransmission timer.
+fn abort_flow<W: HasTestbed>(w: &mut W, eng: &mut Engine<W>, id: FlowId) {
+    let flows = &mut w.tb().flows;
+    if flows.recs[id].end != FlowEnd::BlkDone {
+        if let Some(ticket) = flows.recs[id].origin.done {
+            drop(eng.take_parked(ticket));
+        }
+    }
+    flows.close(id);
+}
+
+/// Runs the caller's parked continuation, if no one took it first.
+fn resume<W: HasTestbed>(w: &mut W, eng: &mut Engine<W>, done: Option<Ticket>) {
+    if let Some(k) = done.and_then(|t| eng.take_parked(t)) {
+        k.dispatch(w, eng);
+    }
+}
+
+/// Parks a request-response caller's `done`: one box per request.
+fn park_rr<W: HasTestbed>(
+    eng: &mut Engine<W>,
+    done: impl FnOnce(&mut W, &mut Engine<W>, RrOutcome) + 'static,
+) -> Ticket {
+    eng.park(BoxedEvent::Closure(Box::new(
+        move |w: &mut W, eng: &mut Engine<W>| {
+            let o = w.tb().rr_outcome.take().expect("finished flow's outcome");
+            done(w, eng, o)
+        },
+    )))
+}
+
+/// The program of flow `id` ran out: account its completion and resume
+/// the caller (or, for a block submission, start the back-end half).
+fn finish_flow<W: HasTestbed>(w: &mut W, eng: &mut Engine<W>, id: FlowId) {
+    let now = eng.now();
+    let tb = w.tb();
+    let f = &mut tb.flows.recs[id];
+    let (end, o) = (f.end, f.origin);
+    match end {
+        FlowEnd::Rr | FlowEnd::Stream => {
+            let latency = now - o.t0;
+            let response = std::mem::take(&mut f.response);
+            tb.flows.close(id);
+            tb.trace.end(o.span, now);
+            tb.oracle.flow_complete(o.token, now);
+            tb.slo.complete(o.vm, latency.as_micros_f64());
+            if end == FlowEnd::Rr {
+                tb.rr_outcome = Some(RrOutcome { latency, response });
+            }
+            resume(w, eng, o.done);
+        }
+        FlowEnd::BlkSubmitted => blk_backend(w, eng, id),
+        FlowEnd::BlkDone => complete_blk(w, eng, id, vrio_virtio::BLK_S_OK),
     }
 }
 
@@ -657,10 +935,12 @@ pub struct Testbed {
     /// refcounted, so per-request responses allocate nothing in steady
     /// state (the fill is a fixed 0x5A pattern, identical every request).
     resp_cache: HashMap<usize, Bytes>,
-    /// Recycled step-queue storage: flows return their drained
-    /// [`VecDeque`] here instead of dropping it, so compiling the next
-    /// flow reuses warm capacity.
-    step_pool: Vec<VecDeque<Step>>,
+    /// The in-flight flows' records (see [`Step`]), grown on demand.
+    flows: FlowSlab,
+    /// A finished request's outcome on its way to the caller's parked
+    /// continuation, which takes it first thing.
+    rr_outcome: Option<RrOutcome>,
+    blk_outcome: Option<BlkOutcome>,
     /// Request-lifecycle tracer (inert unless the config enables it).
     pub trace: Tracer,
     /// The simulation oracle (inert unless the config enables it).
@@ -794,7 +1074,9 @@ impl Testbed {
             skb_pool: SkbPool::new(),
             tso_scratch: Vec::new(),
             resp_cache: HashMap::new(),
-            step_pool: Vec::new(),
+            flows: FlowSlab::default(),
+            rr_outcome: None,
+            blk_outcome: None,
             trace,
             oracle,
             telemetry,
@@ -830,13 +1112,6 @@ impl Testbed {
     fn resource(&mut self, r: CoreRef) -> &mut Resource {
         match r {
             CoreRef::Gen(i) => &mut self.gen_cores[i],
-            CoreRef::Vm(i) => {
-                // The VCPU's busy tracker lives inside GuestCpu; expose a
-                // Resource-compatible view by charging through a shadow
-                // resource would double-count, so VM charges are routed in
-                // `charge_vm`. This arm exists for uniformity.
-                unreachable!("VM cores are charged via charge_vm: vm{i}")
-            }
             CoreRef::Backend(i) => &mut self.backends[i],
             CoreRef::GenMachine(i) => &mut self.gen_machines[i],
             CoreRef::HostLink(i) => &mut self.host_links[i],
@@ -1089,20 +1364,6 @@ impl Testbed {
         vm_busy + be_busy
     }
 
-    /// A recycled (empty, warm-capacity) step queue for compiling a flow.
-    pub fn take_steps(&mut self) -> VecDeque<Step> {
-        self.step_pool.pop().unwrap_or_default()
-    }
-
-    /// Returns a flow's drained step-queue storage to the pool (capped so
-    /// a burst of aborted flows cannot hoard memory).
-    pub fn recycle_steps(&mut self, mut steps: VecDeque<Step>) {
-        if self.step_pool.len() < 64 {
-            steps.clear();
-            self.step_pool.push(steps);
-        }
-    }
-
     /// The canonical `len`-byte 0x5A response payload, memoized so repeat
     /// requests of the same size share one refcounted buffer.
     fn resp_payload(&mut self, len: usize) -> Bytes {
@@ -1131,14 +1392,7 @@ impl Testbed {
     /// separately via [`Self::interpose_cost`]). Drop verdicts pass the
     /// data unchanged — block data is not subject to packet filtering.
     pub fn interpose_transform(&mut self, dir: Direction, data: Bytes) -> Bytes {
-        if self.chain.is_empty() || !self.config.model.is_interposable() {
-            return data;
-        }
-        let costs = self.config.costs.clone();
-        match self.chain.apply(&costs, dir, data.clone()).0 {
-            Verdict::Pass(p) => p,
-            Verdict::Drop { .. } => data,
-        }
+        self.interpose(dir, data.clone()).0.unwrap_or(data)
     }
 
     /// Runs a payload through the interposition chain at a backend,
@@ -1153,6 +1407,154 @@ impl Testbed {
         match verdict {
             Verdict::Pass(p) => (Some(p), cost),
             Verdict::Drop { .. } => (None, cost),
+        }
+    }
+
+    /// [`Step::DecapNetRx`]: real decode of the worker's NetRx message.
+    fn decap_net_rx(&mut self, id: FlowId) {
+        let f = &mut self.flows.recs[id];
+        let (vm, encoded) = (f.origin.vm, std::mem::take(&mut f.encoded));
+        let msg = VrioMsg::decode(encoded).expect("valid vRIO message");
+        assert_eq!(msg.hdr.kind, VrioMsgKind::NetRx);
+        self.oracle.check_bytes(
+            "net_rr encap->decap",
+            &self.flows.recs[id].fwd_check,
+            &msg.payload,
+        );
+        self.deliver_rx(vm, &msg.payload);
+    }
+
+    /// The guest receives `frame` on its net rx ring (deliver, receive,
+    /// refill).
+    fn deliver_rx(&mut self, vm: usize, frame: &[u8]) {
+        let vm = &mut self.vms[vm];
+        vm.net_deliver_rx(frame).expect("rx posted");
+        vm.net_recv().expect("recv").expect("delivered");
+        vm.net_refill_rx().expect("refill");
+    }
+
+    /// [`Step::FetchTx`]: fetches the guest's transmitted response from
+    /// the tx ring, applies interposition if requested, and stores the
+    /// payload as the flow's response.
+    fn fetch_tx(&mut self, id: FlowId, interpose_dir: Option<Direction>) {
+        let vm = self.flows.recs[id].origin.vm;
+        let (head, _hdr, payload) = self.vms[vm]
+            .net_fetch_tx()
+            .expect("fetch")
+            .expect("guest transmitted");
+        self.vms[vm].net_complete_tx(head).expect("complete");
+        self.vms[vm].net_reap_tx().expect("reap");
+        self.flows.recs[id].response = match interpose_dir {
+            Some(dir) => self.interpose(dir, payload).0.unwrap_or_default(),
+            None => payload,
+        };
+    }
+
+    /// [`Step::IngressGate`]: `false` when the frame is lost or shed.
+    fn ingress_gate(&mut self, id: FlowId, iohost: usize, backend: usize, now: SimTime) -> bool {
+        let f = &self.flows.recs[id];
+        let (vm, token, whole_request) = (f.origin.vm, f.origin.token, f.end != FlowEnd::BlkDone);
+        let cap = self.config.iohost_rx_ring;
+        // Attribute each loss to exactly one cause, tested in a fixed
+        // order with the RNG draws short-circuiting.
+        let lost = if self.iohost_failed(iohost, now) {
+            Some(DropCause::Outage)
+        } else if self.backends[backend].pending > cap {
+            Some(DropCause::ShedQueue)
+        } else if self.rng.chance(self.config.channel_loss) || self.fault_drop(now) {
+            Some(DropCause::FaultLoss)
+        } else {
+            None
+        };
+        let cause = match lost {
+            Some(cause) => {
+                self.channel_drops += 1;
+                cause
+            }
+            None => {
+                // Overload-aware admission (disabled by default): shed at
+                // the door instead of queueing toward a timeout. Sheds are
+                // not channel drops — the request never entered the ring.
+                let depth = self.backends[backend].pending;
+                let decision = self.admit(iohost, vm, depth, now);
+                if decision.admitted() {
+                    return true;
+                }
+                shed_cause(decision)
+            }
+        };
+        self.backends[backend].pending -= 1;
+        self.release_backend(vm, backend);
+        if whole_request {
+            self.oracle.flow_drop(token, now);
+            self.slo.record_drop(vm, cause);
+        }
+        false
+    }
+
+    /// [`Step::BlkExecute`]: runs the flow's block request against the
+    /// VM's backing store; read data becomes the flow's `read_out`.
+    fn blk_execute(&mut self, id: FlowId, worker: Option<usize>) {
+        let f = &mut self.flows.recs[id];
+        let vm = f.origin.vm;
+        let req = f.req.clone().expect("block flow carries its request");
+        if worker.is_some() {
+            let (enc, check, wire_id) = (
+                std::mem::take(&mut f.encoded),
+                std::mem::take(&mut f.fwd_check),
+                f.wire_id,
+            );
+            // Messages larger than the channel MTU really segment with the
+            // fake-TCP TSO path and reassemble zero-copy at the worker.
+            if enc.len() > MTU_VRIO_JUMBO {
+                let msg_id = self.fresh_msg_id();
+                // Batched train: the whole segment train is emitted into a
+                // recycled scratch vector and reassembled through the SKB
+                // pool in this one event — steady state allocates nothing.
+                let mut segs = std::mem::take(&mut self.tso_scratch);
+                segment_message_into(enc.clone(), MTU_VRIO_JUMBO, msg_id, &mut segs)
+                    .expect("block message within TSO bound (checked at submit)");
+                let skb =
+                    reassemble_train(&mut segs, &mut self.skb_pool).expect("consistent fragments");
+                self.tso_scratch = segs;
+                assert_eq!(
+                    skb.bytes_copied(),
+                    0,
+                    "TSO segment->reassemble path must not copy payload bytes"
+                );
+                self.oracle
+                    .check_skb("blk tso segment->reassemble", &enc, &skb);
+                self.skb_pool
+                    .release(skb)
+                    .expect("reassembled skb returns to the pool exactly once");
+            }
+            // Decode the request the worker actually received and execute.
+            let msg = VrioMsg::decode(enc).expect("valid blk message");
+            assert_eq!(msg.hdr.kind, VrioMsgKind::BlkReq);
+            assert_eq!(msg.hdr.request_id, wire_id);
+            self.oracle
+                .check_bytes("blk encap->decap", &check, &msg.payload);
+        }
+        // Real bytes on the backing store. Interposition transforms the
+        // data that moves: write payloads before they reach the store,
+        // read data before it returns.
+        let offset = req.byte_offset();
+        let data = match req.kind {
+            BlockKind::Write => {
+                let data = self.interpose_transform(Direction::Outbound, req.data);
+                self.disk_stores[vm].write(offset, &data).expect("in range");
+                Bytes::new()
+            }
+            BlockKind::Read => self.disk_stores[vm]
+                .read(offset, u64::from(req.len))
+                .expect("in range"),
+            BlockKind::Flush => Bytes::new(),
+        };
+        if !data.is_empty() {
+            self.flows.recs[id].read_out = self.interpose_transform(Direction::Inbound, data);
+        }
+        if let Some(backend) = worker {
+            self.release_backend(vm, backend);
         }
     }
 }
@@ -1204,7 +1606,7 @@ pub fn net_request_response<W: HasTestbed>(
         .begin("net_rr", req_track(vm), Stage::Generator, t0);
     let flow = tb.oracle.flow_begin("net_rr", t0);
     tb.slo.offer(vm);
-    let response_slot: Rc<RefCell<Bytes>> = Rc::new(RefCell::new(Bytes::new()));
+    let id = tb.flows.open(FlowEnd::Rr, origin(vm, t0, span, flow));
     let req_wire = req.len() + 64; // headers on the wire
     let resp_wire = resp_len + 64;
     // Responses larger than one MSS leave as multiple wire packets, each
@@ -1212,130 +1614,90 @@ pub fn net_request_response<W: HasTestbed>(
     // under Apache-style transactions, Fig 5/12).
     let packets = (resp_len.div_ceil(1448)).max(1) as u64;
 
-    let mut s: VecDeque<Step> = tb.take_steps();
+    let mut s = tb.flows.take_steps(id);
 
     // 1. Generator sends the request.
     let gen_work = tb.jitter(costs.generator_stack) + tb.gen_extra(vm);
-    s.push_back(Step::Charge(CoreRef::Gen(vm), gen_work));
+    s.push(Step::Charge(CoreRef::Gen(vm), gen_work));
     if tracing {
-        s.push_back(Step::Mark(span, Stage::Wire));
+        s.push(Step::Mark(Stage::Wire));
     }
-    s.push_back(Step::Charge(CoreRef::HostLink(host), tb.wire(req_wire)));
-    s.push_back(Step::Fixed(tb.config.hop_latency));
+    s.push(Step::Charge(CoreRef::HostLink(host), tb.wire(req_wire)));
+    s.push(Step::Fixed(tb.config.hop_latency));
 
-    // 2. Inbound delivery to the guest, per model.
+    // 2. Inbound delivery to the guest, per model. A firewalled request
+    // ends here: the flow never runs and `done` is dropped.
     let backend = tb.pick_backend_at(vm, iohost);
+    let firewalled = |tb: &mut Testbed, s: Vec<Step>| {
+        tb.flows.recs[id].steps = s;
+        tb.flows.close(id);
+        tb.trace.abort(span);
+        tb.oracle.flow_drop(flow, t0);
+        tb.slo.record_drop(vm, DropCause::Firewall);
+    };
     match model {
         IoModel::Optimum => {
-            s.push_back(Step::Fixed(costs.nic_dma));
-            s.push_back(Step::Fixed(costs.eli_delivery));
-            s.push_back(Step::Count(CounterKind::GuestIntr));
-            let req2 = req.clone();
-            s.push_back(Step::Do(Box::new(move |tb| {
-                tb.vms[vm].net_deliver_rx(&req2).expect("rx posted");
-                tb.vms[vm].net_recv().expect("recv").expect("delivered");
-                tb.vms[vm].net_refill_rx().expect("refill");
-            })));
+            s.push(Step::Fixed(costs.nic_dma));
+            s.push(Step::Fixed(costs.eli_delivery));
+            s.push(Step::Count(CounterKind::GuestIntr));
+            tb.flows.recs[id].data = req.clone();
+            s.push(Step::DeliverRx);
             if tracing {
-                s.push_back(Step::Mark(span, Stage::Interrupt));
+                s.push(Step::Mark(Stage::Interrupt));
             }
             let w1 = tb.jitter(costs.guest_interrupt + costs.guest_stack_rx);
-            s.push_back(Step::ChargeVm(vm, w1));
+            s.push(Step::ChargeVm(vm, w1));
         }
         IoModel::Elvis => {
-            s.push_back(Step::Fixed(costs.nic_dma));
-            s.push_back(Step::Count(CounterKind::HostIntr));
+            s.push(Step::Fixed(costs.nic_dma));
+            s.push(Step::Count(CounterKind::HostIntr));
             if tracing {
-                s.push_back(Step::Mark(span, Stage::Backend));
+                s.push(Step::Mark(Stage::Backend));
             }
             let w_irq = tb.jitter(costs.host_interrupt);
-            s.push_back(Step::Charge(CoreRef::Backend(backend), w_irq));
+            s.push(Step::Charge(CoreRef::Backend(backend), w_irq));
             let (fwd, icost) = tb.interpose(Direction::Inbound, req.clone());
             let w_be = tb.jitter(costs.elvis_backend_net) + icost;
-            s.push_back(Step::Charge(CoreRef::Backend(backend), w_be));
+            s.push(Step::Charge(CoreRef::Backend(backend), w_be));
             let Some(fwd) = fwd else {
-                tb.trace.abort(span);
-                tb.oracle.flow_drop(flow, t0);
-                tb.slo.record_drop(vm, DropCause::Firewall);
-                return; // firewalled: flow ends
+                return firewalled(tb, s);
             };
-            s.push_back(Step::Do(Box::new(move |tb| {
-                tb.vms[vm].net_deliver_rx(&fwd).expect("rx posted");
-                tb.vms[vm].net_recv().expect("recv").expect("delivered");
-                tb.vms[vm].net_refill_rx().expect("refill");
-            })));
-            s.push_back(Step::Fixed(costs.eli_delivery));
-            s.push_back(Step::Count(CounterKind::GuestIntr));
+            tb.flows.recs[id].data = fwd;
+            s.push(Step::DeliverRx);
+            s.push(Step::Fixed(costs.eli_delivery));
+            s.push(Step::Count(CounterKind::GuestIntr));
             if tracing {
-                s.push_back(Step::Mark(span, Stage::Interrupt));
+                s.push(Step::Mark(Stage::Interrupt));
             }
             let w1 = tb.jitter(costs.guest_interrupt + costs.guest_stack_rx);
-            s.push_back(Step::ChargeVm(vm, w1));
+            s.push(Step::ChargeVm(vm, w1));
         }
         IoModel::Vrio | IoModel::VrioNoPoll => {
             // Frame lands at the IOhost NIC first.
-            s.push_back(Step::Fixed(costs.nic_dma));
-            s.push_back(Step::RingPush(backend));
+            s.push(Step::Fixed(costs.nic_dma));
+            s.push(Step::RingPush(backend));
             // Loss/ring-overflow gate (net traffic: a drop means the
             // request is simply lost; TCP above retransmits).
-            s.push_back(Step::Gate(Box::new(move |tb, now| {
-                let cap = tb.config.iohost_rx_ring;
-                // Attribute each loss to exactly one cause, tested in the
-                // same order (and with the same RNG short-circuiting) as
-                // the original combined gate.
-                let cause = if tb.iohost_failed(iohost, now) {
-                    Some(DropCause::Outage)
-                } else if tb.backends[backend].pending > cap {
-                    Some(DropCause::ShedQueue)
-                } else if tb.rng.chance(tb.config.channel_loss) || tb.fault_drop(now) {
-                    Some(DropCause::FaultLoss)
-                } else {
-                    None
-                };
-                if let Some(cause) = cause {
-                    tb.channel_drops += 1;
-                    tb.backends[backend].pending -= 1;
-                    tb.release_backend(vm, backend);
-                    tb.oracle.flow_drop(flow, now);
-                    tb.slo.record_drop(vm, cause);
-                    return false;
-                }
-                // Overload-aware admission (disabled by default): shed at
-                // the door instead of queueing toward a timeout. Sheds are
-                // not channel drops — the request never entered the ring.
-                let depth = tb.backends[backend].pending;
-                let decision = tb.admit(iohost, vm, depth, now);
-                if !decision.admitted() {
-                    tb.backends[backend].pending -= 1;
-                    tb.release_backend(vm, backend);
-                    tb.oracle.flow_drop(flow, now);
-                    tb.slo.record_drop(vm, shed_cause(decision));
-                    return false;
-                }
-                true
-            })));
+            s.push(Step::IngressGate { iohost, backend });
             if tracing {
-                s.push_back(Step::Mark(span, Stage::WorkerPickup));
+                s.push(Step::Mark(Stage::WorkerPickup));
             }
             if model == IoModel::VrioNoPoll {
-                s.push_back(Step::Count(CounterKind::IohostIntr));
+                s.push(Step::Count(CounterKind::IohostIntr));
                 let w_irq = tb.jitter(costs.host_interrupt);
-                s.push_back(Step::Charge(CoreRef::Backend(backend), w_irq));
+                s.push(Step::Charge(CoreRef::Backend(backend), w_irq));
             } else {
-                s.push_back(Step::Pickup(backend));
+                s.push(Step::Pickup(backend));
             }
-            s.push_back(Step::RingPop(backend));
+            s.push(Step::RingPop(backend));
             if tracing {
-                s.push_back(Step::Mark(span, Stage::Backend));
+                s.push(Step::Mark(Stage::Backend));
             }
             // Worker: interpose, encapsulate as a vRIO NetRx message, and
             // retransmit toward the VMhost (real protocol bytes).
             let (fwd, icost) = tb.interpose(Direction::Inbound, req.clone());
             let Some(fwd) = fwd else {
-                tb.trace.abort(span);
-                tb.oracle.flow_drop(flow, t0);
-                tb.slo.record_drop(vm, DropCause::Firewall);
-                return;
+                return firewalled(tb, s);
             };
             let msg = VrioMsg::new(
                 VrioMsgKind::NetRx,
@@ -1349,100 +1711,82 @@ pub fn net_request_response<W: HasTestbed>(
             let fwd_check = msg.payload.clone();
             let encoded = msg.encode();
             let w_worker = tb.jitter(costs.vrio_worker_net + costs.reassemble_per_frag) + icost;
-            s.push_back(Step::Charge(CoreRef::Backend(backend), w_worker));
-            s.push_back(Step::Do(Box::new(move |tb| {
-                tb.release_backend(vm, backend)
-            })));
+            s.push(Step::Charge(CoreRef::Backend(backend), w_worker));
+            s.push(Step::ReleaseBackend(backend));
             if model == IoModel::VrioNoPoll {
                 // The IOhost's own transmit-completion interrupt.
-                s.push_back(Step::Count(CounterKind::IohostIntr));
-                s.push_back(Step::ChargeAsync(
+                s.push(Step::Count(CounterKind::IohostIntr));
+                s.push(Step::ChargeAsync(
                     CoreRef::Backend(backend),
                     costs.host_interrupt,
                 ));
             }
             if tracing {
-                s.push_back(Step::Mark(span, Stage::Wire));
+                s.push(Step::Mark(Stage::Wire));
             }
-            s.push_back(Step::Fixed(costs.nic_dma));
-            s.push_back(Step::Charge(
+            s.push(Step::Fixed(costs.nic_dma));
+            s.push(Step::Charge(
                 CoreRef::IohostLink(iohost),
                 tb.wire(encoded.len() + 54),
             ));
-            s.push_back(Step::Fixed(tb.config.hop_latency));
-            s.push_back(Step::Fixed(tb.fault_delay(t0)));
-            s.push_back(Step::Fixed(costs.nic_dma));
-            s.push_back(Step::Fixed(costs.eli_delivery));
-            s.push_back(Step::Count(CounterKind::GuestIntr));
+            s.push(Step::Fixed(tb.config.hop_latency));
+            s.push(Step::Fixed(tb.fault_delay(t0)));
+            s.push(Step::Fixed(costs.nic_dma));
+            s.push(Step::Fixed(costs.eli_delivery));
+            s.push(Step::Count(CounterKind::GuestIntr));
             // Transport decapsulates (real decode) and hands to front-end.
-            s.push_back(Step::Do(Box::new(move |tb| {
-                let msg = VrioMsg::decode(encoded).expect("valid vRIO message");
-                assert_eq!(msg.hdr.kind, VrioMsgKind::NetRx);
-                tb.oracle
-                    .check_bytes("net_rr encap->decap", &fwd_check, &msg.payload);
-                tb.vms[vm].net_deliver_rx(&msg.payload).expect("rx posted");
-                tb.vms[vm].net_recv().expect("recv").expect("delivered");
-                tb.vms[vm].net_refill_rx().expect("refill");
-            })));
+            let f = &mut tb.flows.recs[id];
+            f.encoded = encoded;
+            f.fwd_check = fwd_check;
+            s.push(Step::DecapNetRx);
             if tracing {
-                s.push_back(Step::Mark(span, Stage::Interrupt));
+                s.push(Step::Mark(Stage::Interrupt));
             }
             let w1 = tb.jitter(costs.guest_interrupt + costs.vrio_decap + costs.guest_stack_rx);
-            s.push_back(Step::ChargeVm(vm, w1));
+            s.push(Step::ChargeVm(vm, w1));
         }
         IoModel::Baseline => {
-            s.push_back(Step::Fixed(costs.nic_dma));
-            s.push_back(Step::Count(CounterKind::HostIntr));
+            s.push(Step::Fixed(costs.nic_dma));
+            s.push(Step::Count(CounterKind::HostIntr));
             if tracing {
-                s.push_back(Step::Mark(span, Stage::Backend));
+                s.push(Step::Mark(Stage::Backend));
             }
             let w_irq = tb.jitter(costs.host_interrupt);
-            s.push_back(Step::Charge(CoreRef::Backend(backend), w_irq));
+            s.push(Step::Charge(CoreRef::Backend(backend), w_irq));
             let (fwd, icost) = tb.interpose(Direction::Inbound, req.clone());
             let w_be = tb.jitter(costs.vhost_wakeup + costs.vhost_backend) + icost;
-            s.push_back(Step::Charge(CoreRef::Backend(backend), w_be));
+            s.push(Step::Charge(CoreRef::Backend(backend), w_be));
             let Some(fwd) = fwd else {
-                tb.trace.abort(span);
-                tb.oracle.flow_drop(flow, t0);
-                tb.slo.record_drop(vm, DropCause::Firewall);
-                return;
+                return firewalled(tb, s);
             };
-            s.push_back(Step::Do(Box::new(move |tb| {
-                tb.vms[vm].net_deliver_rx(&fwd).expect("rx posted");
-                tb.vms[vm].net_recv().expect("recv").expect("delivered");
-                tb.vms[vm].net_refill_rx().expect("refill");
-            })));
-            s.push_back(Step::Count(CounterKind::Injection));
-            s.push_back(Step::Charge(
+            tb.flows.recs[id].data = fwd;
+            s.push(Step::DeliverRx);
+            s.push(Step::Count(CounterKind::Injection));
+            s.push(Step::Charge(
                 CoreRef::Backend(backend),
                 costs.interrupt_injection,
             ));
-            s.push_back(Step::Count(CounterKind::GuestIntr));
-            s.push_back(Step::Count(CounterKind::Exit)); // EOI exit
+            s.push(Step::Count(CounterKind::GuestIntr));
+            s.push(Step::Count(CounterKind::Exit)); // EOI exit
             if tracing {
-                s.push_back(Step::Mark(span, Stage::Interrupt));
+                s.push(Step::Mark(Stage::Interrupt));
             }
             let w1 = tb.jitter(costs.guest_interrupt + costs.exit + costs.guest_stack_rx);
-            s.push_back(Step::ChargeVm(vm, w1));
+            s.push(Step::ChargeVm(vm, w1));
         }
     }
 
     // 3. Guest application work + transmit of the response.
     if tracing {
-        s.push_back(Step::Mark(span, Stage::AppWork));
+        s.push(Step::Mark(Stage::AppWork));
     }
     let w_app = tb.jitter(app_time);
-    s.push_back(Step::ChargeVm(vm, w_app));
+    s.push(Step::ChargeVm(vm, w_app));
     if tracing {
-        s.push_back(Step::Mark(span, Stage::Kick));
+        s.push(Step::Mark(Stage::Kick));
     }
-    let resp_payload = tb.resp_payload(resp_len);
-    {
-        let resp_payload = resp_payload.clone();
-        s.push_back(Step::Do(Box::new(move |tb| {
-            tb.vms[vm].net_send(&resp_payload).expect("tx slot");
-        })));
-    }
+    tb.flows.recs[id].response = tb.resp_payload(resp_len);
+    s.push(Step::SendResp);
     // GSO amortizes the per-packet guest cost for multi-packet responses.
     let mut w_tx = tb.jitter(costs.guest_stack_tx) * (1.0 + 0.3 * (packets - 1) as f64);
     if matches!(model, IoModel::Vrio | IoModel::VrioNoPoll) {
@@ -1451,181 +1795,127 @@ pub fn net_request_response<W: HasTestbed>(
     }
     if model == IoModel::Baseline {
         // The transmit kick traps.
-        s.push_back(Step::Count(CounterKind::Exit));
+        s.push(Step::Count(CounterKind::Exit));
         w_tx += costs.exit;
     }
-    s.push_back(Step::ChargeVm(vm, w_tx));
+    s.push(Step::ChargeVm(vm, w_tx));
 
     // 4. Outbound path back to the generator, per model.
     let backend_out = tb.pick_backend_at(vm, iohost);
     match model {
         IoModel::Optimum => {
-            s.push_back(Step::Do(fetch_and_complete_tx(
-                vm,
-                response_slot.clone(),
-                None,
-            )));
-            s.push_back(Step::Fixed(costs.nic_dma));
+            s.push(Step::FetchTx(None));
+            s.push(Step::Fixed(costs.nic_dma));
             // Asynchronous transmit-completion interrupt to the guest.
-            s.push_back(Step::Count(CounterKind::GuestIntr));
-            s.push_back(Step::ChargeVmAsync(vm, costs.guest_interrupt));
+            s.push(Step::Count(CounterKind::GuestIntr));
+            s.push(Step::ChargeVmAsync(vm, costs.guest_interrupt));
         }
         IoModel::Elvis => {
             if tracing {
-                s.push_back(Step::Mark(span, Stage::WorkerPickup));
+                s.push(Step::Mark(Stage::WorkerPickup));
             }
-            s.push_back(Step::Fixed(costs.poll_pickup));
+            s.push(Step::Fixed(costs.poll_pickup));
             if tracing {
-                s.push_back(Step::Mark(span, Stage::Backend));
+                s.push(Step::Mark(Stage::Backend));
             }
             let w_be = tb.jitter(costs.elvis_backend_net) * packets;
-            s.push_back(Step::Charge(CoreRef::Backend(backend_out), w_be));
-            s.push_back(Step::Do(fetch_and_complete_tx(
-                vm,
-                response_slot.clone(),
-                Some(Direction::Outbound),
-            )));
-            s.push_back(Step::Fixed(costs.nic_dma));
+            s.push(Step::Charge(CoreRef::Backend(backend_out), w_be));
+            s.push(Step::FetchTx(Some(Direction::Outbound)));
+            s.push(Step::Fixed(costs.nic_dma));
             // Physical tx-completion interrupts land on the sidecore
             // (hardware coalescing merges them into one *counted* event,
             // but the handler work scales with the packet count).
-            s.push_back(Step::Count(CounterKind::HostIntr));
-            s.push_back(Step::ChargeAsync(
+            s.push(Step::Count(CounterKind::HostIntr));
+            s.push(Step::ChargeAsync(
                 CoreRef::Backend(backend_out),
                 costs.host_interrupt * packets,
             ));
-            s.push_back(Step::Count(CounterKind::GuestIntr));
-            s.push_back(Step::ChargeVmAsync(vm, costs.guest_interrupt));
+            s.push(Step::Count(CounterKind::GuestIntr));
+            s.push(Step::ChargeVmAsync(vm, costs.guest_interrupt));
         }
         IoModel::Vrio | IoModel::VrioNoPoll => {
-            s.push_back(Step::Do(fetch_and_complete_tx(
-                vm,
-                response_slot.clone(),
-                None,
-            )));
+            s.push(Step::FetchTx(None));
             if tracing {
-                s.push_back(Step::Mark(span, Stage::Wire));
+                s.push(Step::Mark(Stage::Wire));
             }
-            s.push_back(Step::Fixed(costs.nic_dma));
-            s.push_back(Step::Charge(
+            s.push(Step::Fixed(costs.nic_dma));
+            s.push(Step::Charge(
                 CoreRef::HostLink(host),
                 tb.wire(resp_wire + 54),
             ));
-            s.push_back(Step::Fixed(tb.config.hop_latency));
-            s.push_back(Step::Fixed(tb.fault_delay(t0)));
-            s.push_back(Step::Fixed(costs.nic_dma));
-            s.push_back(Step::RingPush(backend_out));
-            s.push_back(Step::Gate(Box::new(move |tb, now| {
-                let cap = tb.config.iohost_rx_ring;
-                // Single-cause attribution, identical test order and RNG
-                // short-circuiting to the original combined gate.
-                let cause = if tb.iohost_failed(iohost, now) {
-                    Some(DropCause::Outage)
-                } else if tb.backends[backend_out].pending > cap {
-                    Some(DropCause::ShedQueue)
-                } else if tb.rng.chance(tb.config.channel_loss) || tb.fault_drop(now) {
-                    Some(DropCause::FaultLoss)
-                } else {
-                    None
-                };
-                if let Some(cause) = cause {
-                    tb.channel_drops += 1;
-                    tb.backends[backend_out].pending -= 1;
-                    tb.release_backend(vm, backend_out);
-                    tb.oracle.flow_drop(flow, now);
-                    tb.slo.record_drop(vm, cause);
-                    return false;
-                }
-                // Same admission door as the inbound leg: the response
-                // pass occupies a worker slot too.
-                let depth = tb.backends[backend_out].pending;
-                let decision = tb.admit(iohost, vm, depth, now);
-                if !decision.admitted() {
-                    tb.backends[backend_out].pending -= 1;
-                    tb.release_backend(vm, backend_out);
-                    tb.oracle.flow_drop(flow, now);
-                    tb.slo.record_drop(vm, shed_cause(decision));
-                    return false;
-                }
-                true
-            })));
+            s.push(Step::Fixed(tb.config.hop_latency));
+            s.push(Step::Fixed(tb.fault_delay(t0)));
+            s.push(Step::Fixed(costs.nic_dma));
+            s.push(Step::RingPush(backend_out));
+            // Same loss gate and admission door as the inbound leg: the
+            // response pass occupies a worker slot too.
+            s.push(Step::IngressGate {
+                iohost,
+                backend: backend_out,
+            });
             if tracing {
-                s.push_back(Step::Mark(span, Stage::WorkerPickup));
+                s.push(Step::Mark(Stage::WorkerPickup));
             }
             if model == IoModel::VrioNoPoll {
                 // Interrupt-driven IOhost: the response arrives as several
                 // jumbo fragments, each raising an interrupt that also
                 // disrupts the worker's cache/pipeline (coalescing merges
                 // them into one *counted* event).
-                s.push_back(Step::Count(CounterKind::IohostIntr));
+                s.push(Step::Count(CounterKind::IohostIntr));
                 let frags = vrio_net::fragment_count(resp_len.max(1), MTU_VRIO_JUMBO) as u64;
                 let w_irq = tb.jitter(costs.host_interrupt) * frags * 2.0;
-                s.push_back(Step::Charge(CoreRef::Backend(backend_out), w_irq));
+                s.push(Step::Charge(CoreRef::Backend(backend_out), w_irq));
             } else {
-                s.push_back(Step::Pickup(backend_out));
+                s.push(Step::Pickup(backend_out));
             }
-            s.push_back(Step::RingPop(backend_out));
+            s.push(Step::RingPop(backend_out));
             if tracing {
-                s.push_back(Step::Mark(span, Stage::Backend));
+                s.push(Step::Mark(Stage::Backend));
             }
             // The worker re-segments the message into `packets` wire
             // packets for the outside world; per-packet work is batched.
             let w_worker = tb.jitter(costs.vrio_worker_net + costs.reassemble_per_frag)
                 + (costs.vrio_worker_net * (packets - 1)) * 0.75;
-            s.push_back(Step::Charge(CoreRef::Backend(backend_out), w_worker));
+            s.push(Step::Charge(CoreRef::Backend(backend_out), w_worker));
             // Worker decapsulates the client's NetTx and interposes.
-            {
-                let slot = response_slot.clone();
-                s.push_back(Step::Do(Box::new(move |tb| {
-                    let payload = slot.borrow().clone();
-                    let (fwd, _cost) = tb.interpose(Direction::Outbound, payload);
-                    if let Some(fwd) = fwd {
-                        *slot.borrow_mut() = fwd;
-                    }
-                    tb.release_backend(vm, backend_out);
-                })));
-            }
+            s.push(Step::OutboundInterposeRelease(backend_out));
             if model == IoModel::VrioNoPoll {
                 // Transmit-completion interrupts for the outbound wire
                 // packets (coalesced into one counted event).
-                s.push_back(Step::Count(CounterKind::IohostIntr));
-                s.push_back(Step::ChargeAsync(
+                s.push(Step::Count(CounterKind::IohostIntr));
+                s.push(Step::ChargeAsync(
                     CoreRef::Backend(backend_out),
                     (costs.host_interrupt * packets.div_ceil(2)) * 2.0,
                 ));
             }
             // Guest's ELI transmit-completion interrupt.
-            s.push_back(Step::Count(CounterKind::GuestIntr));
-            s.push_back(Step::ChargeVmAsync(vm, costs.guest_interrupt));
-            s.push_back(Step::Fixed(costs.nic_dma));
+            s.push(Step::Count(CounterKind::GuestIntr));
+            s.push(Step::ChargeVmAsync(vm, costs.guest_interrupt));
+            s.push(Step::Fixed(costs.nic_dma));
         }
         IoModel::Baseline => {
             if tracing {
-                s.push_back(Step::Mark(span, Stage::Backend));
+                s.push(Step::Mark(Stage::Backend));
             }
             let w_be = tb.jitter(costs.vhost_wakeup + costs.vhost_backend) * packets;
-            s.push_back(Step::Charge(CoreRef::Backend(backend_out), w_be));
-            s.push_back(Step::Do(fetch_and_complete_tx(
-                vm,
-                response_slot.clone(),
-                Some(Direction::Outbound),
-            )));
-            s.push_back(Step::Fixed(costs.nic_dma));
-            s.push_back(Step::Count(CounterKind::HostIntr));
-            s.push_back(Step::ChargeAsync(
+            s.push(Step::Charge(CoreRef::Backend(backend_out), w_be));
+            s.push(Step::FetchTx(Some(Direction::Outbound)));
+            s.push(Step::Fixed(costs.nic_dma));
+            s.push(Step::Count(CounterKind::HostIntr));
+            s.push(Step::ChargeAsync(
                 CoreRef::Backend(backend_out),
                 costs.host_interrupt * packets,
             ));
             // Asynchronous tx-completion injection into the guest + EOI exit
             // (one per wire packet; a single counted event after coalescing).
-            s.push_back(Step::Count(CounterKind::Injection));
-            s.push_back(Step::ChargeAsync(
+            s.push(Step::Count(CounterKind::Injection));
+            s.push(Step::ChargeAsync(
                 CoreRef::Backend(backend_out),
                 costs.interrupt_injection * packets,
             ));
-            s.push_back(Step::Count(CounterKind::GuestIntr));
-            s.push_back(Step::Count(CounterKind::Exit));
-            s.push_back(Step::ChargeVmAsync(
+            s.push(Step::Count(CounterKind::GuestIntr));
+            s.push(Step::Count(CounterKind::Exit));
+            s.push(Step::ChargeVmAsync(
                 vm,
                 (costs.guest_interrupt + costs.exit) * packets,
             ));
@@ -1634,35 +1924,22 @@ pub fn net_request_response<W: HasTestbed>(
 
     // 5. Wire back to the generator and receive.
     if tracing {
-        s.push_back(Step::Mark(span, Stage::Wire));
+        s.push(Step::Mark(Stage::Wire));
     }
-    s.push_back(Step::Charge(CoreRef::HostLink(host), tb.wire(resp_wire)));
-    s.push_back(Step::Fixed(tb.config.hop_latency));
+    s.push(Step::Charge(CoreRef::HostLink(host), tb.wire(resp_wire)));
+    s.push(Step::Fixed(tb.config.hop_latency));
     if tracing {
-        s.push_back(Step::Mark(span, Stage::Completion));
+        s.push(Step::Mark(Stage::Completion));
     }
     let gen_rx = tb.jitter(costs.generator_stack) + tb.gen_extra(vm);
-    s.push_back(Step::Charge(CoreRef::Gen(vm), gen_rx));
+    s.push(Step::Charge(CoreRef::Gen(vm), gen_rx));
     let tail = tb.tail_extra();
     if !tail.is_zero() {
-        s.push_back(Step::Fixed(tail));
+        s.push(Step::Fixed(tail));
     }
-
-    run_steps(
-        w,
-        eng,
-        s,
-        Box::new(move |w, eng| {
-            let now = eng.now();
-            let latency = now - t0;
-            let tb = w.tb();
-            tb.trace.end(span, now);
-            tb.oracle.flow_complete(flow, now);
-            tb.slo.complete(vm, latency.as_micros_f64());
-            let response = response_slot.borrow().clone();
-            done(w, eng, RrOutcome { latency, response });
-        }),
-    );
+    tb.flows.recs[id].steps = s;
+    tb.flows.recs[id].origin.done = Some(park_rr(eng, done));
+    run_flow(w, eng, id as u64);
 }
 
 /// The §4.6 fallback data path: local virtio on a sidecore-less VMhost.
@@ -1688,131 +1965,81 @@ fn fallback_request_response<W: HasTestbed>(
         .begin("net_rr_fallback", req_track(vm), Stage::Generator, t0);
     let flow = tb.oracle.flow_begin("net_rr_fallback", t0);
     tb.slo.offer(vm);
-    let response_slot: Rc<RefCell<Bytes>> = Rc::new(RefCell::new(Bytes::new()));
+    let id = tb.flows.open(FlowEnd::Rr, origin(vm, t0, span, flow));
     let packets = (resp_len.div_ceil(1448)).max(1) as u64;
-    let mut s: VecDeque<Step> = tb.take_steps();
+    let mut s = tb.flows.take_steps(id);
 
     let gen_work = tb.jitter(costs.generator_stack) + tb.gen_extra(vm);
-    s.push_back(Step::Charge(CoreRef::Gen(vm), gen_work));
+    s.push(Step::Charge(CoreRef::Gen(vm), gen_work));
     if tracing {
-        s.push_back(Step::Mark(span, Stage::Wire));
+        s.push(Step::Mark(Stage::Wire));
     }
-    s.push_back(Step::Charge(
+    s.push(Step::Charge(
         CoreRef::HostLink(host),
         tb.wire(req.len() + 64),
     ));
-    s.push_back(Step::Fixed(tb.config.hop_latency));
-    s.push_back(Step::Fixed(costs.nic_dma));
+    s.push(Step::Fixed(tb.config.hop_latency));
+    s.push(Step::Fixed(costs.nic_dma));
     // Inbound: interrupt + vhost pass + injection, all on the VM core.
-    s.push_back(Step::Count(CounterKind::HostIntr));
+    s.push(Step::Count(CounterKind::HostIntr));
     if tracing {
-        s.push_back(Step::Mark(span, Stage::Backend));
+        s.push(Step::Mark(Stage::Backend));
     }
     let w_in = tb.jitter(
         costs.host_interrupt + costs.vhost_wakeup + costs.vhost_backend + costs.interrupt_injection,
     );
-    s.push_back(Step::Count(CounterKind::Injection));
-    s.push_back(Step::ChargeVm(vm, w_in));
-    {
-        let req2 = req.clone();
-        s.push_back(Step::Do(Box::new(move |tb| {
-            tb.vms[vm].net_deliver_rx(&req2).expect("rx posted");
-            tb.vms[vm].net_recv().expect("recv").expect("delivered");
-            tb.vms[vm].net_refill_rx().expect("refill");
-        })));
-    }
-    s.push_back(Step::Count(CounterKind::GuestIntr));
-    s.push_back(Step::Count(CounterKind::Exit)); // EOI
+    s.push(Step::Count(CounterKind::Injection));
+    s.push(Step::ChargeVm(vm, w_in));
+    tb.flows.recs[id].data = req;
+    s.push(Step::DeliverRx);
+    s.push(Step::Count(CounterKind::GuestIntr));
+    s.push(Step::Count(CounterKind::Exit)); // EOI
     if tracing {
-        s.push_back(Step::Mark(span, Stage::Interrupt));
+        s.push(Step::Mark(Stage::Interrupt));
     }
     let w_rx = tb.jitter(costs.guest_interrupt + costs.exit + costs.guest_stack_rx);
-    s.push_back(Step::ChargeVm(vm, w_rx));
+    s.push(Step::ChargeVm(vm, w_rx));
     if tracing {
-        s.push_back(Step::Mark(span, Stage::AppWork));
+        s.push(Step::Mark(Stage::AppWork));
     }
-    s.push_back(Step::ChargeVm(vm, tb.jitter(app_time)));
+    s.push(Step::ChargeVm(vm, tb.jitter(app_time)));
     if tracing {
-        s.push_back(Step::Mark(span, Stage::Kick));
+        s.push(Step::Mark(Stage::Kick));
     }
-    let resp_payload = tb.resp_payload(resp_len);
-    {
-        let resp_payload = resp_payload.clone();
-        s.push_back(Step::Do(Box::new(move |tb| {
-            tb.vms[vm].net_send(&resp_payload).expect("tx slot");
-        })));
-    }
+    tb.flows.recs[id].response = tb.resp_payload(resp_len);
+    s.push(Step::SendResp);
     // Outbound: kick exit + vhost pass per packet, all on the VM core.
-    s.push_back(Step::Count(CounterKind::Exit));
+    s.push(Step::Count(CounterKind::Exit));
     let w_tx = tb.jitter(costs.guest_stack_tx + costs.exit)
         + (costs.vhost_wakeup + costs.vhost_backend) * packets;
-    s.push_back(Step::ChargeVm(vm, w_tx));
-    s.push_back(Step::Do(fetch_and_complete_tx(
-        vm,
-        response_slot.clone(),
-        None,
-    )));
-    s.push_back(Step::Fixed(costs.nic_dma));
-    s.push_back(Step::Count(CounterKind::HostIntr));
-    s.push_back(Step::Count(CounterKind::Injection));
-    s.push_back(Step::Count(CounterKind::GuestIntr));
-    s.push_back(Step::Count(CounterKind::Exit));
-    s.push_back(Step::ChargeVmAsync(
+    s.push(Step::ChargeVm(vm, w_tx));
+    s.push(Step::FetchTx(None));
+    s.push(Step::Fixed(costs.nic_dma));
+    s.push(Step::Count(CounterKind::HostIntr));
+    s.push(Step::Count(CounterKind::Injection));
+    s.push(Step::Count(CounterKind::GuestIntr));
+    s.push(Step::Count(CounterKind::Exit));
+    s.push(Step::ChargeVmAsync(
         vm,
         (costs.host_interrupt + costs.interrupt_injection + costs.guest_interrupt + costs.exit)
             * packets,
     ));
     if tracing {
-        s.push_back(Step::Mark(span, Stage::Wire));
+        s.push(Step::Mark(Stage::Wire));
     }
-    s.push_back(Step::Charge(
+    s.push(Step::Charge(
         CoreRef::HostLink(host),
         tb.wire(resp_len + 64),
     ));
-    s.push_back(Step::Fixed(tb.config.hop_latency));
+    s.push(Step::Fixed(tb.config.hop_latency));
     if tracing {
-        s.push_back(Step::Mark(span, Stage::Completion));
+        s.push(Step::Mark(Stage::Completion));
     }
     let gen_rx = tb.jitter(costs.generator_stack) + tb.gen_extra(vm);
-    s.push_back(Step::Charge(CoreRef::Gen(vm), gen_rx));
-
-    run_steps(
-        w,
-        eng,
-        s,
-        Box::new(move |w, eng| {
-            let now = eng.now();
-            let latency = now - t0;
-            let tb = w.tb();
-            tb.trace.end(span, now);
-            tb.oracle.flow_complete(flow, now);
-            tb.slo.complete(vm, latency.as_micros_f64());
-            let response = response_slot.borrow().clone();
-            done(w, eng, RrOutcome { latency, response });
-        }),
-    );
-}
-
-/// Fetches the guest's transmitted response from the tx ring, applies
-/// interposition if requested, and stores the payload in `slot`.
-fn fetch_and_complete_tx(
-    vm: usize,
-    slot: Rc<RefCell<Bytes>>,
-    interpose_dir: Option<Direction>,
-) -> Box<dyn FnOnce(&mut Testbed)> {
-    Box::new(move |tb| {
-        let (head, _hdr, payload) = tb.vms[vm]
-            .net_fetch_tx()
-            .expect("fetch")
-            .expect("guest transmitted");
-        tb.vms[vm].net_complete_tx(head).expect("complete");
-        tb.vms[vm].net_reap_tx().expect("reap");
-        let out = match interpose_dir {
-            Some(dir) => tb.interpose(dir, payload).0.unwrap_or_default(),
-            None => payload,
-        };
-        *slot.borrow_mut() = out;
-    })
+    s.push(Step::Charge(CoreRef::Gen(vm), gen_rx));
+    tb.flows.recs[id].steps = s;
+    tb.flows.recs[id].origin.done = Some(park_rr(eng, done));
+    run_flow(w, eng, id as u64);
 }
 
 // ---------------------------------------------------------------------------
@@ -1846,7 +2073,8 @@ pub fn stream_batch<W: HasTestbed>(
         .begin("stream_batch", req_track(vm), Stage::GuestEnqueue, t0);
     let flow = tb.oracle.flow_begin("stream_batch", t0);
     tb.slo.offer(vm);
-    let mut s: VecDeque<Step> = tb.take_steps();
+    let id = tb.flows.open(FlowEnd::Stream, origin(vm, t0, span, flow));
+    let mut s = tb.flows.take_steps(id);
 
     // Guest produces the batch.
     let mut per_msg = costs.stream_guest_per_msg;
@@ -1855,9 +2083,9 @@ pub fn stream_batch<W: HasTestbed>(
         IoModel::Baseline => per_msg += costs.stream_baseline_guest_extra,
         _ => {}
     }
-    s.push_back(Step::ChargeVm(vm, per_msg * msgs));
+    s.push(Step::ChargeVm(vm, per_msg * msgs));
     if tracing {
-        s.push_back(Step::Mark(span, Stage::Backend));
+        s.push(Step::Mark(Stage::Backend));
     }
 
     // Backend processing + wire path. Streams keep riding whatever
@@ -1868,78 +2096,65 @@ pub fn stream_batch<W: HasTestbed>(
     let backend = tb.pick_backend_at(vm, iohost);
     match model {
         IoModel::Optimum => {
-            s.push_back(Step::Charge(
+            s.push(Step::Charge(
                 CoreRef::HostLink(host),
                 tb.wire(bytes as usize),
             ));
         }
         IoModel::Elvis => {
-            s.push_back(Step::Charge(
+            s.push(Step::Charge(
                 CoreRef::Backend(backend),
                 costs.stream_elvis_backend_per_msg * msgs,
             ));
-            s.push_back(Step::Charge(
+            s.push(Step::Charge(
                 CoreRef::HostLink(host),
                 tb.wire(bytes as usize),
             ));
         }
         IoModel::Vrio | IoModel::VrioNoPoll => {
-            s.push_back(Step::Charge(
+            s.push(Step::Charge(
                 CoreRef::HostLink(host),
                 tb.wire(bytes as usize),
             ));
-            s.push_back(Step::Fixed(tb.config.hop_latency));
+            s.push(Step::Fixed(tb.config.hop_latency));
             let mut w_worker = costs.stream_vrio_worker_per_msg * msgs;
             if model == IoModel::VrioNoPoll {
                 // Interrupt-driven IOhost: per-batch interrupt pair.
                 w_worker += costs.host_interrupt * 2u64;
             }
-            s.push_back(Step::Charge(CoreRef::Backend(backend), w_worker));
-            s.push_back(Step::Do(Box::new(move |tb| {
-                tb.release_backend(vm, backend)
-            })));
-            s.push_back(Step::Charge(
+            s.push(Step::Charge(CoreRef::Backend(backend), w_worker));
+            s.push(Step::ReleaseBackend(backend));
+            s.push(Step::Charge(
                 CoreRef::IohostLink(iohost),
                 tb.wire(bytes as usize),
             ));
         }
         IoModel::Baseline => {
-            s.push_back(Step::Charge(
+            s.push(Step::Charge(
                 CoreRef::Backend(backend),
                 costs.stream_vhost_per_msg * msgs,
             ));
-            s.push_back(Step::Charge(
+            s.push(Step::Charge(
                 CoreRef::HostLink(host),
                 tb.wire(bytes as usize),
             ));
         }
     }
-    s.push_back(Step::Fixed(tb.config.hop_latency));
+    s.push(Step::Fixed(tb.config.hop_latency));
     if tracing {
-        s.push_back(Step::Mark(span, Stage::Completion));
+        s.push(Step::Mark(Stage::Completion));
     }
 
     // Generator machine + core receive the batch.
     let gm_work = SimDuration::for_bytes_at_gbps(bytes, costs.gen_machine_gbps);
-    s.push_back(Step::Charge(CoreRef::GenMachine(host), gm_work));
-    s.push_back(Step::Charge(
+    s.push(Step::Charge(CoreRef::GenMachine(host), gm_work));
+    s.push(Step::Charge(
         CoreRef::Gen(vm),
         costs.stream_gen_per_msg * msgs,
     ));
-
-    run_steps(
-        w,
-        eng,
-        s,
-        Box::new(move |w, eng| {
-            let now = eng.now();
-            let tb = w.tb();
-            tb.trace.end(span, now);
-            tb.oracle.flow_complete(flow, now);
-            tb.slo.complete(vm, (now - t0).as_micros_f64());
-            done(w, eng)
-        }),
-    );
+    tb.flows.recs[id].steps = s;
+    tb.flows.recs[id].origin.done = Some(eng.park(BoxedEvent::Closure(Box::new(done))));
+    run_flow(w, eng, id as u64);
 }
 
 // ---------------------------------------------------------------------------
@@ -1952,7 +2167,10 @@ pub fn stream_batch<W: HasTestbed>(
 /// a device error after the attempt budget is exhausted.
 ///
 /// The optimum model has no block path ("there is no such thing as an
-/// SRIOV ramdisk" — §5); calling this under `IoModel::Optimum` panics.
+/// SRIOV ramdisk" — §5); calling this under `IoModel::Optimum` panics. A
+/// vRIO write whose encapsulated message would exceed the TSO maximum
+/// ([`vrio_net::MAX_TSO_MSG`]) cannot be carried and panics here, at
+/// submission.
 pub fn blk_request<W: HasTestbed>(
     w: &mut W,
     eng: &mut Engine<W>,
@@ -1965,204 +2183,155 @@ pub fn blk_request<W: HasTestbed>(
         model != IoModel::Optimum,
         "the optimum (SRIOV) model has no paravirtual block path (paper section 5)"
     );
+    let vrio = matches!(model, IoModel::Vrio | IoModel::VrioNoPoll);
+    if vrio && req.kind == BlockKind::Write {
+        // Header, the 8-byte request id, then the data (see `blk_attempt`).
+        let msg_len = VRIO_HDR_SIZE + 8 + req.data.len();
+        assert!(
+            msg_len <= MAX_TSO_MSG,
+            "block write of {} bytes makes a {msg_len}-byte vRIO message, over the \
+             {MAX_TSO_MSG}-byte TSO maximum",
+            req.data.len()
+        );
+    }
     let t0 = eng.now();
     let costs = w.tb().config.costs.clone();
-    let span = w
-        .tb()
+    let tb = w.tb();
+    let span = tb
         .trace
         .begin("blk", req_track(vm), Stage::GuestEnqueue, t0);
-    let flow = w.tb().oracle.flow_begin("blk", t0);
+    let flow = tb.oracle.flow_begin("blk", t0);
 
     // The front-end publishes the request on the real virtio ring; the
     // local back-end half (sidecore/vhost/transport) fetches it at once.
-    let head_slot: Rc<RefCell<u16>> = Rc::new(RefCell::new(0));
-    let data_slot: Rc<RefCell<Bytes>> = Rc::new(RefCell::new(Bytes::new()));
-    {
-        let tb = w.tb();
-        tb.vms[vm].blk_submit(&req).expect("blk ring slot");
-        let (head, _hdr, payload) = tb.vms[vm]
-            .blk_fetch()
-            .expect("fetch")
-            .expect("just submitted");
-        *head_slot.borrow_mut() = head;
-        *data_slot.borrow_mut() = payload;
-    }
-
-    // Wrap `done` so completion and device-error paths race safely. The
-    // oracle observes the completion exactly when the guest does, whichever
-    // path (response or retx-exhaustion device error) wins the race.
-    let done_cell: BlkDoneCell<W> = Rc::new(RefCell::new(Some(Box::new(
-        move |w: &mut W, eng: &mut Engine<W>, o: BlkOutcome| {
-            w.tb().oracle.flow_complete(flow, eng.now());
-            done(w, eng, o);
-        },
-    ))));
+    tb.vms[vm].blk_submit(&req).expect("blk ring slot");
+    let (head, _hdr, payload) = tb.vms[vm]
+        .blk_fetch()
+        .expect("fetch")
+        .expect("just submitted");
 
     // Guest-side submission CPU.
-    let submit_work = {
-        let tb = w.tb();
-        let mut work = tb.jitter(costs.guest_block_layer) / 2;
-        if model == IoModel::Baseline {
-            tb.count(CounterKind::Exit);
-            work += costs.exit;
-        }
-        work
-    };
-    let mut prologue: VecDeque<Step> = w.tb().take_steps();
-    prologue.push_back(Step::ChargeVm(vm, submit_work));
+    let mut submit_work = tb.jitter(costs.guest_block_layer) / 2;
+    if model == IoModel::Baseline {
+        tb.count(CounterKind::Exit);
+        submit_work += costs.exit;
+    }
+    let id = tb
+        .flows
+        .open(FlowEnd::BlkSubmitted, origin(vm, t0, span, flow));
+    if vrio {
+        let (wire_id, timeout) = tb.retx[vm].send(req.id, t0);
+        tb.flows.recs[id].wire_id = wire_id;
+        tb.flows.recs[id].timeout = timeout;
+    }
+    let mut s = tb.flows.take_steps(id);
+    s.push(Step::ChargeVm(vm, submit_work));
+    let f = &mut tb.flows.recs[id];
+    (f.steps, f.head, f.data, f.req) = (s, head, payload, Some(req));
+    // The continuation runs once, whichever path completes the request
+    // first: the response, or the retransmission timer's device error.
+    let ticket = eng.park(BoxedEvent::Closure(Box::new(
+        move |w: &mut W, eng: &mut Engine<W>| {
+            let o = w.tb().blk_outcome.take().expect("finished flow's outcome");
+            done(w, eng, o)
+        },
+    )));
+    w.tb().flows.recs[id].origin.done = Some(ticket);
+    run_flow(w, eng, id as u64);
+}
 
-    match model {
-        IoModel::Elvis | IoModel::Baseline => {
-            let req2 = req.clone();
-            let hs = head_slot.clone();
-            let ds = data_slot.clone();
-            let dc = done_cell.clone();
-            run_steps(
-                w,
-                eng,
-                prologue,
-                Box::new(move |w, eng| {
-                    let _ = ds;
-                    local_blk_backend(w, eng, vm, req2, hs, t0, span, dc);
-                }),
-            );
-        }
-        IoModel::Vrio | IoModel::VrioNoPoll => {
-            let (wire_id, timeout) = w.tb().retx[vm].send(req.id, eng.now());
-            let req2 = req.clone();
-            let hs = head_slot.clone();
-            let ds = data_slot.clone();
-            let dc = done_cell.clone();
-            run_steps(
-                w,
-                eng,
-                prologue,
-                Box::new(move |w, eng| {
-                    vrio_blk_attempt(
-                        w,
-                        eng,
-                        vm,
-                        req2.clone(),
-                        wire_id,
-                        hs.clone(),
-                        ds,
-                        t0,
-                        span,
-                        dc.clone(),
-                    );
-                    arm_retx_timer(w, eng, vm, req2, wire_id, timeout, hs, t0, span, dc);
-                }),
-            );
-        }
-        IoModel::Optimum => unreachable!("checked above"),
+/// The guest submitted block flow `id`: compile and start its back-end
+/// half. Elvis/baseline run it on the local sidecore or vhost core; vRIO
+/// sends the first attempt to an IOhost and arms its retransmission timer.
+fn blk_backend<W: HasTestbed>(w: &mut W, eng: &mut Engine<W>, id: FlowId) {
+    let now = eng.now();
+    let tb = w.tb();
+    if matches!(tb.config.model, IoModel::Vrio | IoModel::VrioNoPoll) {
+        blk_attempt(tb, id, now);
+        let timer = tb.flows.fork(id);
+        let timeout = tb.flows.recs[id].timeout;
+        run_flow(w, eng, id as u64);
+        eng.schedule_call_in(timeout, retx_timer::<W>, timer as u64);
+    } else {
+        local_blk_backend(tb, id);
+        run_flow(w, eng, id as u64);
     }
 }
 
-/// Elvis / baseline: the block back-end runs on the local sidecore or
-/// vhost core and the device is local.
-#[allow(clippy::too_many_arguments)]
-fn local_blk_backend<W: HasTestbed>(
-    w: &mut W,
-    eng: &mut Engine<W>,
-    vm: usize,
-    req: BlockRequest,
-    head_slot: Rc<RefCell<u16>>,
-    t0: SimTime,
-    span: SpanId,
-    done_cell: BlkDoneCell<W>,
-) {
-    let tb = w.tb();
+/// Elvis / baseline: compiles the block back-end pass of flow `id` on the
+/// local sidecore or vhost core against the local device.
+fn local_blk_backend(tb: &mut Testbed, id: FlowId) {
     let model = tb.config.model;
     let costs = tb.config.costs.clone();
+    let vm = tb.flows.recs[id].origin.vm;
+    let req = tb.flows.recs[id].req.clone().expect("block flow");
     let backend = tb.pick_backend_at(vm, 0); // local models: iohost unused
     let tracing = tb.trace.enabled() || tb.oracle.enabled();
-    let mut s: VecDeque<Step> = tb.take_steps();
+    tb.flows.recs[id].end = FlowEnd::BlkDone;
+    let mut s = tb.flows.take_steps(id);
     if tracing {
-        s.push_back(Step::Mark(span, Stage::Backend));
+        s.push(Step::Mark(Stage::Backend));
     }
 
     // Interposition is charged on the data actually moved: the payload of
     // writes, the data returned by reads.
-    let moved_bytes = match req.kind {
-        BlockKind::Write => req.data.len(),
-        BlockKind::Read => req.len as usize,
-        BlockKind::Flush => 0,
-    };
+    let moved_bytes = req.moved_bytes();
     let icost = tb.interpose_cost(moved_bytes);
     match model {
         IoModel::Elvis => {
-            s.push_back(Step::Fixed(costs.poll_pickup));
+            s.push(Step::Fixed(costs.poll_pickup));
             let w_be = tb.jitter(costs.elvis_backend_blk) + icost;
-            s.push_back(Step::Charge(CoreRef::Backend(backend), w_be));
+            s.push(Step::Charge(CoreRef::Backend(backend), w_be));
         }
         IoModel::Baseline => {
             // The baseline block path is far heavier than its net path:
             // QEMU/vhost-blk AIO submission, two physical interrupts
             // (submission kick wakeup + device completion), and full data
             // copies on the vhost core.
-            s.push_back(Step::Count(CounterKind::HostIntr));
-            s.push_back(Step::Count(CounterKind::HostIntr));
+            s.push(Step::Count(CounterKind::HostIntr));
+            s.push(Step::Count(CounterKind::HostIntr));
             let copy = costs.copy_cost(moved_bytes.max(4096));
             let w_be = tb.jitter(
                 costs.vhost_wakeup + costs.vhost_backend * 5u64 + costs.host_interrupt * 2u64,
             ) + copy
                 + icost;
-            s.push_back(Step::Charge(CoreRef::Backend(backend), w_be));
+            s.push(Step::Charge(CoreRef::Backend(backend), w_be));
         }
         _ => unreachable!(),
     }
 
     // Device service (FIFO), then real data movement on the ramdisk.
-    let bytes = match req.kind {
-        BlockKind::Write => req.data.len() as u64,
-        BlockKind::Read => u64::from(req.len),
-        BlockKind::Flush => 0,
-    };
-    let svc = tb.config.block_profile.service_time(req.kind, bytes);
+    let svc = tb
+        .config
+        .block_profile
+        .service_time(req.kind, moved_bytes as u64);
     if tracing {
-        s.push_back(Step::Mark(span, Stage::Device));
+        s.push(Step::Mark(Stage::Device));
     }
-    s.push_back(Step::Charge(CoreRef::Disk(vm), svc));
-    let req2 = req.clone();
-    let read_out: Rc<RefCell<Bytes>> = Rc::new(RefCell::new(Bytes::new()));
-    {
-        let read_out = read_out.clone();
-        s.push_back(Step::Do(Box::new(move |tb| {
-            // Interposition transforms the data that moves: write payloads
-            // before they reach the store, read data before it returns.
-            let mut req2 = req2.clone();
-            if req2.kind == BlockKind::Write {
-                req2.data = tb.interpose_transform(Direction::Outbound, req2.data);
-            }
-            execute_on_store(tb, vm, &req2, &read_out);
-            let data = read_out.borrow().clone();
-            if !data.is_empty() {
-                *read_out.borrow_mut() = tb.interpose_transform(Direction::Inbound, data);
-            }
-        })));
-    }
+    s.push(Step::Charge(CoreRef::Disk(vm), svc));
+    s.push(Step::BlkExecute(None));
 
     // Completion pass back to the guest.
     if tracing {
-        s.push_back(Step::Mark(span, Stage::Interrupt));
+        s.push(Step::Mark(Stage::Interrupt));
     }
     match model {
         IoModel::Elvis => {
             let w_done = tb.jitter(costs.elvis_backend_blk) / 2;
-            s.push_back(Step::Charge(CoreRef::Backend(backend), w_done));
-            s.push_back(Step::Fixed(costs.eli_delivery));
-            s.push_back(Step::Count(CounterKind::GuestIntr));
+            s.push(Step::Charge(CoreRef::Backend(backend), w_done));
+            s.push(Step::Fixed(costs.eli_delivery));
+            s.push(Step::Count(CounterKind::GuestIntr));
         }
         IoModel::Baseline => {
             let w_done = tb.jitter(costs.vhost_backend) / 2;
-            s.push_back(Step::Charge(CoreRef::Backend(backend), w_done));
-            s.push_back(Step::Count(CounterKind::Injection));
-            s.push_back(Step::Charge(
+            s.push(Step::Charge(CoreRef::Backend(backend), w_done));
+            s.push(Step::Count(CounterKind::Injection));
+            s.push(Step::Charge(
                 CoreRef::Backend(backend),
                 costs.interrupt_injection,
             ));
-            s.push_back(Step::Count(CounterKind::GuestIntr));
-            s.push_back(Step::Count(CounterKind::Exit)); // EOI
+            s.push(Step::Count(CounterKind::GuestIntr));
+            s.push(Step::Count(CounterKind::Exit)); // EOI
         }
         _ => unreachable!(),
     }
@@ -2170,92 +2339,29 @@ fn local_blk_backend<W: HasTestbed>(
         IoModel::Baseline => costs.guest_interrupt + costs.exit + costs.guest_block_layer / 2,
         _ => costs.guest_interrupt + costs.guest_block_layer / 2,
     };
-    s.push_back(Step::ChargeVm(vm, tb.jitter(w_guest)));
-
-    run_steps(
-        w,
-        eng,
-        s,
-        Box::new(move |w, eng| {
-            let status = vrio_virtio::BLK_S_OK;
-            let head = *head_slot.borrow();
-            let tbm = w.tb();
-            tbm.vms[vm]
-                .blk_complete(head, status, &read_out.borrow())
-                .expect("complete");
-            let completions = tbm.vms[vm].blk_reap().expect("reap");
-            let c = completions
-                .into_iter()
-                .find(|c| c.id == req.id)
-                .expect("own completion");
-            if let Some(done) = done_cell.borrow_mut().take() {
-                let now = eng.now();
-                w.tb().trace.end(span, now);
-                done(
-                    w,
-                    eng,
-                    BlkOutcome {
-                        latency: now - t0,
-                        status: c.status,
-                        data: c.data,
-                    },
-                );
-            }
-        }),
-    );
+    s.push(Step::ChargeVm(vm, tb.jitter(w_guest)));
+    tb.flows.recs[id].steps = s;
 }
 
-/// Executes the request against the VM's backing store (real bytes).
-fn execute_on_store(
-    tb: &mut Testbed,
-    vm: usize,
-    req: &BlockRequest,
-    read_out: &Rc<RefCell<Bytes>>,
-) {
-    match req.kind {
-        BlockKind::Write => {
-            tb.disk_stores[vm]
-                .write(req.byte_offset(), &req.data)
-                .expect("in range");
-        }
-        BlockKind::Read => {
-            let data = tb.disk_stores[vm]
-                .read(req.byte_offset(), u64::from(req.len))
-                .expect("in range");
-            *read_out.borrow_mut() = data;
-        }
-        BlockKind::Flush => {}
-    }
-}
-
-/// One vRIO block attempt: encapsulate, traverse the channel, execute at
-/// the IOhost, and return the response — subject to loss and stale
-/// filtering.
-#[allow(clippy::too_many_arguments)]
-fn vrio_blk_attempt<W: HasTestbed>(
-    w: &mut W,
-    eng: &mut Engine<W>,
-    vm: usize,
-    req: BlockRequest,
-    wire_id: u64,
-    head_slot: Rc<RefCell<u16>>,
-    data_slot: Rc<RefCell<Bytes>>,
-    t0: SimTime,
-    span: SpanId,
-    done_cell: BlkDoneCell<W>,
-) {
-    let tb = w.tb();
+/// Compiles one vRIO block attempt into flow `id` (sent at `now`):
+/// encapsulate, traverse the channel, execute at the IOhost, and return
+/// the response — subject to loss and stale filtering.
+fn blk_attempt(tb: &mut Testbed, id: FlowId, now: SimTime) {
     let model = tb.config.model;
     let costs = tb.config.costs.clone();
+    let f = &mut tb.flows.recs[id];
+    f.end = FlowEnd::BlkDone;
+    let (vm, t0, wire_id) = (f.origin.vm, f.origin.t0, f.wire_id);
+    let payload = std::mem::take(&mut f.data);
+    let req = f.req.clone().expect("block flow");
     let host = tb.vm_host[vm];
     let tracing = tb.trace.enabled() || tb.oracle.enabled();
-    let mut s: VecDeque<Step> = tb.take_steps();
+    let mut s = tb.flows.take_steps(id);
     if tracing {
-        s.push_back(Step::Mark(span, Stage::Encap));
+        s.push(Step::Mark(Stage::Encap));
     }
 
     // Transport: encapsulate (real bytes) and segment if needed.
-    let payload = data_slot.borrow().clone();
     let mut blob = Vec::with_capacity(17 + payload.len());
     blob.extend_from_slice(&req.id.0.to_le_bytes());
     blob.extend_from_slice(&payload);
@@ -2272,76 +2378,50 @@ fn vrio_blk_attempt<W: HasTestbed>(
     let encoded = msg.encode();
     let frags = vrio_net::fragment_count(encoded.len().max(1), MTU_VRIO_JUMBO) as u64;
     let w_tx = tb.jitter(costs.vrio_encap) + costs.segment_per_frag * frags;
-    s.push_back(Step::ChargeVm(vm, w_tx));
+    s.push(Step::ChargeVm(vm, w_tx));
     if tracing {
-        s.push_back(Step::Mark(span, Stage::Wire));
+        s.push(Step::Mark(Stage::Wire));
     }
-    s.push_back(Step::Fixed(costs.nic_dma));
-    s.push_back(Step::Charge(
+    s.push(Step::Fixed(costs.nic_dma));
+    s.push(Step::Charge(
         CoreRef::HostLink(host),
         tb.wire(encoded.len() + 54),
     ));
-    s.push_back(Step::Fixed(tb.config.hop_latency));
-    s.push_back(Step::Fixed(tb.fault_delay(t0)));
-    s.push_back(Step::Fixed(costs.nic_dma));
+    s.push(Step::Fixed(tb.config.hop_latency));
+    s.push(Step::Fixed(tb.fault_delay(t0)));
+    s.push(Step::Fixed(costs.nic_dma));
 
     // Arrival at the IOhost: loss / ring-overflow gate. The route is
     // re-resolved per *attempt*, so a retransmission after a primary
     // crash deterministically lands on the next live backup once the
-    // health ladder has observed the outage.
-    let iohost = tb.blk_route(vm, eng.now());
+    // health ladder has observed the outage. A crashed IOhost blackholes
+    // the frame, and a shed is handled exactly like a lost frame: the
+    // retransmission machinery re-offers the request later.
+    let iohost = tb.blk_route(vm, now);
     let backend = tb.pick_backend_at(vm, iohost);
-    s.push_back(Step::RingPush(backend));
-    s.push_back(Step::Gate(Box::new(move |tb, now| {
-        let cap = tb.config.iohost_rx_ring;
-        // A crashed IOhost blackholes the frame; the retransmission
-        // machinery takes over until recovery (or a device error).
-        if tb.iohost_failed(iohost, now)
-            || tb.backends[backend].pending > cap
-            || tb.rng.chance(tb.config.channel_loss)
-            || tb.fault_drop(now)
-        {
-            tb.channel_drops += 1;
-            tb.backends[backend].pending -= 1;
-            tb.release_backend(vm, backend);
-            return false;
-        }
-        // Admission door: a shed is handled exactly like a lost frame —
-        // the retransmission machinery re-offers the request later, by
-        // which point the overload (or the breaker window) has passed.
-        let depth = tb.backends[backend].pending;
-        if !tb.admit(iohost, vm, depth, now).admitted() {
-            tb.backends[backend].pending -= 1;
-            tb.release_backend(vm, backend);
-            return false;
-        }
-        true
-    })));
+    s.push(Step::RingPush(backend));
+    s.push(Step::IngressGate { iohost, backend });
     if tracing {
-        s.push_back(Step::Mark(span, Stage::WorkerPickup));
+        s.push(Step::Mark(Stage::WorkerPickup));
     }
     if model == IoModel::VrioNoPoll {
-        s.push_back(Step::Count(CounterKind::IohostIntr));
-        s.push_back(Step::Charge(
+        s.push(Step::Count(CounterKind::IohostIntr));
+        s.push(Step::Charge(
             CoreRef::Backend(backend),
             costs.host_interrupt,
         ));
     } else {
-        s.push_back(Step::Pickup(backend));
+        s.push(Step::Pickup(backend));
     }
-    s.push_back(Step::RingPop(backend));
+    s.push(Step::RingPop(backend));
     if tracing {
-        s.push_back(Step::Mark(span, Stage::Backend));
+        s.push(Step::Mark(Stage::Backend));
     }
 
     // Worker: reassemble, decode, interpose, execute on the remote store.
     // Interposition cost is charged on the data moved (write payload or
     // read response).
-    let moved_bytes = match req.kind {
-        BlockKind::Write => req.data.len(),
-        BlockKind::Read => req.len as usize,
-        BlockKind::Flush => 0,
-    };
+    let moved_bytes = req.moved_bytes();
     let icost = tb.interpose_cost(moved_bytes);
     let mut w_worker = tb.jitter(costs.vrio_worker_blk) + costs.reassemble_per_frag * frags + icost;
     // Zero-copy write discipline: only unaligned edges are copied; reads
@@ -2356,116 +2436,59 @@ fn vrio_blk_attempt<W: HasTestbed>(
         }
         BlockKind::Flush => {}
     }
-    s.push_back(Step::Charge(CoreRef::Backend(backend), w_worker));
+    s.push(Step::Charge(CoreRef::Backend(backend), w_worker));
 
-    let bytes = match req.kind {
-        BlockKind::Write => req.data.len() as u64,
-        BlockKind::Read => u64::from(req.len),
-        BlockKind::Flush => 0,
-    };
-    let svc = tb.config.block_profile.service_time(req.kind, bytes);
+    let svc = tb
+        .config
+        .block_profile
+        .service_time(req.kind, moved_bytes as u64);
     if tracing {
-        s.push_back(Step::Mark(span, Stage::Device));
+        s.push(Step::Mark(Stage::Device));
     }
-    s.push_back(Step::Charge(CoreRef::Disk(vm), svc));
-    let read_out: Rc<RefCell<Bytes>> = Rc::new(RefCell::new(Bytes::new()));
-    {
-        let req2 = req.clone();
-        let read_out = read_out.clone();
-        let enc = encoded.clone();
-        s.push_back(Step::Do(Box::new(move |tb| {
-            // Messages larger than the channel MTU really segment with the
-            // fake-TCP TSO path and reassemble zero-copy at the worker.
-            if enc.len() > MTU_VRIO_JUMBO {
-                let msg_id = tb.fresh_msg_id();
-                // Batched train: the whole segment train is emitted into a
-                // recycled scratch vector and reassembled through the SKB
-                // pool in this one event — steady state allocates nothing.
-                let mut segs = std::mem::take(&mut tb.tso_scratch);
-                segment_message_into(enc.clone(), MTU_VRIO_JUMBO, msg_id, &mut segs)
-                    .expect("block message within TSO bound");
-                let skb =
-                    reassemble_train(&mut segs, &mut tb.skb_pool).expect("consistent fragments");
-                tb.tso_scratch = segs;
-                assert_eq!(
-                    skb.bytes_copied(),
-                    0,
-                    "TSO segment->reassemble path must not copy payload bytes"
-                );
-                tb.oracle
-                    .check_skb("blk tso segment->reassemble", &enc, &skb);
-                tb.skb_pool
-                    .release(skb)
-                    .expect("reassembled skb returns to the pool exactly once");
-            }
-            // Decode the request the worker actually received and execute.
-            let msg = VrioMsg::decode(enc).expect("valid blk message");
-            assert_eq!(msg.hdr.kind, VrioMsgKind::BlkReq);
-            assert_eq!(msg.hdr.request_id, wire_id);
-            tb.oracle
-                .check_bytes("blk encap->decap", &payload_check, &msg.payload);
-            let mut req2 = req2.clone();
-            if req2.kind == BlockKind::Write {
-                req2.data = tb.interpose_transform(Direction::Outbound, req2.data);
-            }
-            execute_on_store(tb, vm, &req2, &read_out);
-            let data = read_out.borrow().clone();
-            if !data.is_empty() {
-                *read_out.borrow_mut() = tb.interpose_transform(Direction::Inbound, data);
-            }
-            tb.release_backend(vm, backend);
-        })));
-    }
+    s.push(Step::Charge(CoreRef::Disk(vm), svc));
+    s.push(Step::BlkExecute(Some(backend)));
 
-    // Response path: worker -> wire -> transport -> guest.
-    let resp_len = 17 + read_out.borrow().len();
-    let resp_frags = vrio_net::fragment_count(resp_len.max(1), MTU_VRIO_JUMBO) as u64;
+    // Response path: worker -> wire -> transport -> guest. The response
+    // is sized before the store runs, so only its 17-byte header counts.
+    let resp_len = 17;
+    let resp_frags = vrio_net::fragment_count(resp_len, MTU_VRIO_JUMBO) as u64;
     // The response pass is short: the request's reassembled buffer is
     // reused and the NIC's TSO does the segmentation (section 4.4).
     if tracing {
-        s.push_back(Step::Mark(span, Stage::Backend));
+        s.push(Step::Mark(Stage::Backend));
     }
     let w_resp = tb.jitter(costs.vrio_worker_blk) / 4 + costs.segment_per_frag * resp_frags;
-    s.push_back(Step::Charge(CoreRef::Backend(backend), w_resp));
+    s.push(Step::Charge(CoreRef::Backend(backend), w_resp));
     if model == IoModel::VrioNoPoll {
-        s.push_back(Step::Count(CounterKind::IohostIntr));
-        s.push_back(Step::ChargeAsync(
+        s.push(Step::Count(CounterKind::IohostIntr));
+        s.push(Step::ChargeAsync(
             CoreRef::Backend(backend),
             costs.host_interrupt,
         ));
     }
     if tracing {
-        s.push_back(Step::Mark(span, Stage::Wire));
+        s.push(Step::Mark(Stage::Wire));
     }
-    s.push_back(Step::Charge(
+    s.push(Step::Charge(
         CoreRef::IohostLink(iohost),
         tb.wire(resp_len + 54 + 24),
     ));
-    s.push_back(Step::Fixed(tb.config.hop_latency));
-    s.push_back(Step::Fixed(tb.fault_delay(t0)));
-    s.push_back(Step::Fixed(costs.nic_dma));
+    s.push(Step::Fixed(tb.config.hop_latency));
+    s.push(Step::Fixed(tb.fault_delay(t0)));
+    s.push(Step::Fixed(costs.nic_dma));
 
     // Transport receive: stale filtering, then guest completion.
-    s.push_back(Step::Gate(Box::new(move |tb, now| {
-        matches!(
-            tb.retx[vm].on_response(wire_id, now),
-            ResponseAction::Accept { .. }
-        )
-    })));
+    s.push(Step::BlkResponseGate);
     if tb.fault_duplicate(t0) {
         // The channel duplicated the response frame: the copy hits the
         // transport right behind the original and must filter as stale —
         // the guest never sees a second completion.
-        s.push_back(Step::Gate(Box::new(move |tb, now| {
-            let r = tb.retx[vm].on_response(wire_id, now);
-            debug_assert!(matches!(r, ResponseAction::Stale));
-            true
-        })));
+        s.push(Step::StaleDupGate);
     }
-    s.push_back(Step::Fixed(costs.eli_delivery));
-    s.push_back(Step::Count(CounterKind::GuestIntr));
+    s.push(Step::Fixed(costs.eli_delivery));
+    s.push(Step::Count(CounterKind::GuestIntr));
     if tracing {
-        s.push_back(Step::Mark(span, Stage::Interrupt));
+        s.push(Step::Mark(Stage::Interrupt));
     }
     let w_guest = tb.jitter(
         costs.guest_interrupt
@@ -2473,123 +2496,78 @@ fn vrio_blk_attempt<W: HasTestbed>(
             + costs.reassemble_per_frag * resp_frags
             + costs.guest_block_layer / 2,
     );
-    s.push_back(Step::ChargeVm(vm, w_guest));
-
-    let req_id = req.id;
-    run_steps(
-        w,
-        eng,
-        s,
-        Box::new(move |w, eng| {
-            let head = *head_slot.borrow();
-            let tbm = w.tb();
-            tbm.vms[vm]
-                .blk_complete(head, vrio_virtio::BLK_S_OK, &read_out.borrow())
-                .expect("complete");
-            let completions = tbm.vms[vm].blk_reap().expect("reap");
-            let c = completions
-                .into_iter()
-                .find(|c| c.id == req_id)
-                .expect("own completion");
-            if let Some(done) = done_cell.borrow_mut().take() {
-                let now = eng.now();
-                w.tb().trace.end(span, now);
-                done(
-                    w,
-                    eng,
-                    BlkOutcome {
-                        latency: now - t0,
-                        status: c.status,
-                        data: c.data,
-                    },
-                );
-            }
-        }),
-    );
+    s.push(Step::ChargeVm(vm, w_guest));
+    tb.flows.recs[id].steps = s;
+    let f = &mut tb.flows.recs[id];
+    f.encoded = encoded;
+    f.fwd_check = payload_check;
 }
 
-/// Arms the retransmission timer for a vRIO block attempt.
-#[allow(clippy::too_many_arguments)]
-fn arm_retx_timer<W: HasTestbed>(
-    w: &mut W,
-    eng: &mut Engine<W>,
-    vm: usize,
-    req: BlockRequest,
-    wire_id: u64,
-    timeout: SimDuration,
-    head_slot: Rc<RefCell<u16>>,
-    t0: SimTime,
-    span: SpanId,
-    done_cell: BlkDoneCell<W>,
-) {
-    let _ = w;
-    eng.schedule_in(timeout, move |w: &mut W, eng| {
-        match w.tb().retx[vm].on_timeout(wire_id, eng.now()) {
-            TimeoutAction::Stale => {}
-            TimeoutAction::Retransmit {
-                new_wire_id,
-                timeout,
-            } => {
-                let now = eng.now();
-                w.tb().trace.instant("retx", req_track(vm), now);
-                let data = Rc::new(RefCell::new(match req.kind {
-                    BlockKind::Write => req.data.clone(),
-                    _ => Bytes::new(),
-                }));
-                vrio_blk_attempt(
-                    w,
-                    eng,
-                    vm,
-                    req.clone(),
-                    new_wire_id,
-                    head_slot.clone(),
-                    data,
-                    t0,
-                    span,
-                    done_cell.clone(),
-                );
-                arm_retx_timer(
-                    w,
-                    eng,
-                    vm,
-                    req,
-                    new_wire_id,
-                    timeout,
-                    head_slot,
-                    t0,
-                    span,
-                    done_cell,
-                );
+/// Fires the retransmission timer of a vRIO block request (flow record
+/// `id`, which has no program): a no-op once the request completed,
+/// otherwise a fresh attempt under a new wire id, or a device error when
+/// the attempt budget is spent.
+fn retx_timer<W: HasTestbed>(w: &mut W, eng: &mut Engine<W>, id: u64) {
+    let id = id as FlowId;
+    let now = eng.now();
+    let tb = w.tb();
+    let (vm, wire_id) = (tb.flows.recs[id].origin.vm, tb.flows.recs[id].wire_id);
+    match tb.retx[vm].on_timeout(wire_id, now) {
+        TimeoutAction::Stale => tb.flows.close(id),
+        TimeoutAction::Retransmit {
+            new_wire_id,
+            timeout,
+        } => {
+            tb.trace.instant("retx", req_track(vm), now);
+            tb.flows.recs[id].wire_id = new_wire_id;
+            let attempt = tb.flows.fork(id);
+            let f = &mut tb.flows.recs[attempt];
+            let req = f.req.as_ref().expect("block flow");
+            if req.kind == BlockKind::Write {
+                f.data = req.data.clone();
             }
-            TimeoutAction::DeviceError { .. } => {
-                let head = *head_slot.borrow();
-                let tbm = w.tb();
-                tbm.vms[vm]
-                    .blk_complete(head, vrio_virtio::BLK_S_IOERR, &[])
-                    .expect("complete");
-                let completions = tbm.vms[vm].blk_reap().expect("reap");
-                let c = completions
-                    .into_iter()
-                    .find(|c| c.id == req.id)
-                    .expect("own completion");
-                if let Some(done) = done_cell.borrow_mut().take() {
-                    let now = eng.now();
-                    let tb = w.tb();
-                    tb.trace.instant("blk_device_error", req_track(vm), now);
-                    tb.trace.end(span, now);
-                    done(
-                        w,
-                        eng,
-                        BlkOutcome {
-                            latency: now - t0,
-                            status: c.status,
-                            data: c.data,
-                        },
-                    );
-                }
-            }
+            blk_attempt(tb, attempt, now);
+            run_flow(w, eng, attempt as u64);
+            eng.schedule_call_in(timeout, retx_timer::<W>, id as u64);
         }
+        TimeoutAction::DeviceError { .. } => complete_blk(w, eng, id, vrio_virtio::BLK_S_IOERR),
+    }
+}
+
+/// Completes the block request of flow record `id` on the guest ring with
+/// `status` and the data it read, closes the record and, unless another
+/// path already completed the request, hands the outcome to the caller.
+fn complete_blk<W: HasTestbed>(w: &mut W, eng: &mut Engine<W>, id: FlowId, status: u8) {
+    let now = eng.now();
+    let tb = w.tb();
+    let f = &mut tb.flows.recs[id];
+    let (o, head, read_out) = (f.origin, f.head, std::mem::take(&mut f.read_out));
+    let req_id = f.req.as_ref().expect("block flow").id;
+    tb.flows.close(id);
+    tb.vms[o.vm]
+        .blk_complete(head, status, &read_out)
+        .expect("complete");
+    let c = tb.vms[o.vm]
+        .blk_reap()
+        .expect("reap")
+        .into_iter()
+        .find(|c| c.id == req_id)
+        .expect("own completion");
+    let Some(k) = o.done.and_then(|t| eng.take_parked(t)) else {
+        return;
+    };
+    let tb = w.tb();
+    if status != vrio_virtio::BLK_S_OK {
+        tb.trace.instant("blk_device_error", req_track(o.vm), now);
+    }
+    tb.trace.end(o.span, now);
+    tb.oracle.flow_complete(o.token, now);
+    tb.blk_outcome = Some(BlkOutcome {
+        latency: now - o.t0,
+        status: c.status,
+        data: c.data,
     });
+    k.dispatch(w, eng);
 }
 
 impl Testbed {
@@ -2935,6 +2913,18 @@ mod tests {
         let mut eng = Engine::new();
         let req = vrio_block::BlockRequest::read(vrio_block::RequestId(1), 0, 512);
         blk_request(&mut tb, &mut eng, 0, req, |_, _, _| {});
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "block write of 65536 bytes makes a 65568-byte vRIO message, \
+                               over the 65536-byte TSO maximum"
+    )]
+    fn oversized_vrio_write_is_rejected_at_submit() {
+        let mut tb = Testbed::new(TestbedConfig::simple(IoModel::Vrio, 1));
+        let data = Bytes::from(vec![0u8; 64 << 10]);
+        let req = vrio_block::BlockRequest::write(vrio_block::RequestId(1), 0, data);
+        blk_request(&mut tb, &mut Engine::new(), 0, req, |_, _, _| {});
     }
 
     #[test]

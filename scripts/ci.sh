@@ -12,6 +12,11 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> cargo test --workspace --release -q"
+# Every crate's suite: the tab3 golden, the typed-event differential
+# proptests, probe identity, the ring differential and the oracle suites.
+cargo test --workspace --release -q
+
 echo "==> trace/report smoke test"
 SMOKE=$(mktemp -d)
 cargo run --release -q -p vrio-bench --bin repro -- \
