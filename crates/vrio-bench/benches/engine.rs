@@ -20,7 +20,8 @@
 //!   events/sec per scheduler for each shape (`--quick` shrinks the event
 //!   counts for CI smoke).
 //! * `cargo bench --bench engine -- --perf OUT.json [--quick]` — the
-//!   recorded perf harness: longer steady-state runs, plus an in-process
+//!   recorded perf harness: longer steady-state runs, the host AES-256-CTR
+//!   throughput of the interposition path, plus an in-process
 //!   `--sweep smoke` wall-time measurement, written as a schema-versioned
 //!   `BENCH_perf` document that `checkbench --perf` gates against
 //!   `benches/BENCH_perf_seed.json`.
@@ -30,6 +31,7 @@ use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::time::Instant;
 
 use criterion::{black_box, Criterion, Throughput};
+use vrio::AesCtr;
 use vrio_bench::{run_sweep, ReproConfig, SweepSpec};
 use vrio_sim::{Dispatch, Engine, SimDuration, SimTime};
 use vrio_trace::Json;
@@ -334,10 +336,11 @@ fn criterion_mode(total: u64) {
     g.finish();
 }
 
-/// Steady-state events/sec: one warm-up run, then timed runs until at least
-/// 3 repetitions and ~0.3 s of measurement; the best rate is reported
-/// (minimum-noise estimator, standard for throughput benches).
-fn measure_events_per_sec(run: impl Fn() -> u64, total: u64) -> f64 {
+/// Steady-state rate of `total` units (events or bytes) per run: one warm-up
+/// run, then timed runs until at least 3 repetitions and ~0.3 s of
+/// measurement; the best rate is reported (minimum-noise estimator,
+/// standard for throughput benches).
+fn measure_per_sec(run: impl Fn() -> u64, total: u64) -> f64 {
     run();
     let mut best = 0.0f64;
     let mut spent = 0.0f64;
@@ -356,17 +359,34 @@ fn measure_events_per_sec(run: impl Fn() -> u64, total: u64) -> f64 {
     best
 }
 
+/// Host AES-256-CTR throughput in bytes/sec over 4 KiB messages, each with
+/// its own key expansion: the per-message work an `EncryptionService`
+/// does for one 4 KiB block request.
+fn aes_ctr_bytes_per_sec() -> f64 {
+    const LEN: usize = 4096;
+    const PASSES: u64 = 256;
+    let key = [7u8; 32];
+    let data = vec![0x42u8; LEN];
+    let run = || {
+        for nonce in 0..PASSES {
+            black_box(AesCtr::new(&key, nonce).process(black_box(&data)));
+        }
+        PASSES
+    };
+    measure_per_sec(run, PASSES * LEN as u64)
+}
+
 /// Perf-recording mode: writes the schema-versioned `BENCH_perf` document.
 fn perf_mode(quick: bool, out: &str) {
     let total: u64 = if quick { 200_000 } else { 1_000_000 };
     let mut metrics: Vec<(String, f64)> = Vec::new();
     for (shape, dist) in SHAPES {
         for (variant, use_heap) in VARIANTS {
-            let rate = measure_events_per_sec(|| run_schedule(use_heap, dist, total), total);
+            let rate = measure_per_sec(|| run_schedule(use_heap, dist, total), total);
             eprintln!("perf {shape:>8}/{variant}: {:>12.0} events/sec", rate);
             metrics.push((format!("{shape}_{variant}_events_per_sec"), rate));
         }
-        let rate = measure_events_per_sec(|| run_schedule_typed(false, dist, total), total);
+        let rate = measure_per_sec(|| run_schedule_typed(false, dist, total), total);
         eprintln!("perf {shape:>8}/typed: {:>12.0} events/sec", rate);
         metrics.push((format!("{shape}_typed_events_per_sec"), rate));
     }
@@ -391,6 +411,9 @@ fn perf_mode(quick: bool, out: &str) {
         typed_allocs, 0.0,
         "typed-event steady-state churn allocated on the heap"
     );
+
+    let aes_rate = aes_ctr_bytes_per_sec();
+    eprintln!("perf aes256 ctr 4 KiB: {:.1} MB/s", aes_rate / 1e6);
 
     // End-to-end anchor: the smoke sweep, single-threaded, quick config —
     // the same work `repro --quick --sweep smoke --threads 1` does.
@@ -422,6 +445,7 @@ fn perf_mode(quick: bool, out: &str) {
     metric_fields.push(("mixed_typed_speedup", Json::Num(typed_speedup)));
     metric_fields.push(("churn_typed_allocs_per_event", Json::Num(typed_allocs)));
     metric_fields.push(("churn_boxed_allocs_per_event", Json::Num(boxed_allocs)));
+    metric_fields.push(("aes256_ctr_bytes_per_sec", Json::Num(aes_rate)));
     metric_fields.push(("sweep_allocs_per_request", Json::Num(allocs_per_request)));
     metric_fields.push(("sweep_smoke_wall_ms", Json::Num(sweep_ms)));
     fields.push(("metrics", Json::obj(metric_fields)));

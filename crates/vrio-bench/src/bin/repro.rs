@@ -2,6 +2,7 @@
 //! "Paravirtual Remote I/O" (ASPLOS 2016).
 //!
 //! ```text
+//! repro --help           # usage, every flag and every experiment
 //! repro --all            # everything (full preset)
 //! repro --quick --all    # everything, short runs
 //! repro --fig7 --tab3    # selected experiments
@@ -31,7 +32,8 @@
 //! repro --quick --tab3 --profile --json /tmp/j
 //!                        # ...with the wall-clock self-profiler: emits
 //!                        # PROF_tab3.json (host time; excluded from every
-//!                        # byte-identity gate)
+//!                        # byte-identity gate). --profile needs --json and
+//!                        # is rejected with --sweep or --chaos
 //! ```
 
 use vrio_bench::*;
@@ -84,8 +86,71 @@ fn with_experiment(mut doc: Json, name: &str) -> Json {
     doc
 }
 
+/// A selectable experiment: its flag and the function rendering its report.
+type Experiment = (&'static str, fn(ReproConfig) -> String);
+
+/// Every selectable experiment, in run order.
+const EXPERIMENTS: &[Experiment] = &[
+    ("--fig1", |_| fig1()),
+    ("--fig2", |_| fig2()),
+    ("--tab1", |_| tab1()),
+    ("--tab2", |_| tab2()),
+    ("--fig3", |_| fig3()),
+    ("--tab3", tab3),
+    ("--fig5", fig5),
+    ("--fig7", fig7),
+    ("--fig8", fig8),
+    ("--tab4", tab4),
+    ("--fig9", fig9),
+    ("--fig10", fig10),
+    ("--fig11", fig11),
+    ("--fig12", fig12),
+    ("--fig13", fig13),
+    ("--fig14", fig14),
+    ("--fig15", fig15),
+    ("--fig16", fig16),
+    ("--hetero", hetero),
+    ("--retx", retx_validation),
+    ("--failover", failover),
+    ("--rings", rings),
+    ("--differential", differential),
+];
+
+/// The `--help` text: synopsis, every flag, and every experiment.
+fn usage() -> String {
+    let experiments: Vec<&str> = EXPERIMENTS.iter().map(|(f, _)| *f).collect();
+    format!(
+        "usage: repro [--quick] [--all | EXPERIMENT...] [OPTIONS]\n\
+         \n\
+         Regenerates the tables and figures of \"Paravirtual Remote I/O\".\n\
+         With no experiment, --sweep or --chaos selected, runs everything.\n\
+         \n\
+         experiments:\n  {}\n\
+         \n\
+         options:\n  \
+         --quick              short horizons\n  \
+         --all                every experiment\n  \
+         --ring LAYOUT        split | split-eventidx | packed virtqueues\n  \
+         --out DIR            write each report as DIR/<experiment>.txt\n  \
+         --trace DIR          write TRACE_<experiment>.json (Chrome trace)\n  \
+         --json DIR           write BENCH_<experiment>.json (and sweep/chaos documents)\n  \
+         --sweep NAME         run the named parameter sweep\n  \
+         --chaos NAME         run the named chaos campaign\n  \
+         --threads N          worker threads for --sweep/--chaos (default 4)\n  \
+         --oracle             check conservation invariants (observe-only)\n  \
+         --telemetry          sample time-series tracks into TELEM_*.json\n  \
+         --profile            write PROF_<experiment>.json (needs --json; not with --sweep/--chaos)\n  \
+         --help               print this text\n",
+        experiments.join(" ")
+    )
+}
+
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
+    if args.iter().any(|a| a == "--help") {
+        print!("{}", usage());
+        return;
+    }
     let quick = args.iter().any(|a| a == "--quick");
     let mut rc = if quick {
         ReproConfig::quick()
@@ -149,6 +214,13 @@ fn main() {
         args.retain(|a| a != "--profile");
         args.len() != n
     };
+    // The profiler covers only the experiments' instrumented pass, whose
+    // PROF_*.json lands in the --json directory: anything else would
+    // silently write nothing.
+    if profile && (json_dir.is_none() || sweep_name.is_some() || chaos_name.is_some()) {
+        eprintln!("--profile requires --json DIR and cannot be combined with --sweep or --chaos");
+        std::process::exit(2);
+    }
     for dir in [&out_dir, &trace_dir, &json_dir].into_iter().flatten() {
         Outputs::ensure_dir(dir);
     }
@@ -161,34 +233,7 @@ fn main() {
 
     let want = |flag: &str| all || args.iter().any(|a| a == flag);
 
-    type Experiment = (&'static str, Box<dyn Fn() -> String>);
-    let experiments: Vec<Experiment> = vec![
-        ("--fig1", Box::new(fig1)),
-        ("--fig2", Box::new(fig2)),
-        ("--tab1", Box::new(tab1)),
-        ("--tab2", Box::new(tab2)),
-        ("--fig3", Box::new(fig3)),
-        ("--tab3", Box::new(move || tab3(rc))),
-        ("--fig5", Box::new(move || fig5(rc))),
-        ("--fig7", Box::new(move || fig7(rc))),
-        ("--fig8", Box::new(move || fig8(rc))),
-        ("--tab4", Box::new(move || tab4(rc))),
-        ("--fig9", Box::new(move || fig9(rc))),
-        ("--fig10", Box::new(move || fig10(rc))),
-        ("--fig11", Box::new(move || fig11(rc))),
-        ("--fig12", Box::new(move || fig12(rc))),
-        ("--fig13", Box::new(move || fig13(rc))),
-        ("--fig14", Box::new(move || fig14(rc))),
-        ("--fig15", Box::new(move || fig15(rc))),
-        ("--fig16", Box::new(move || fig16(rc))),
-        ("--hetero", Box::new(move || hetero(rc))),
-        ("--retx", Box::new(move || retx_validation(rc))),
-        ("--failover", Box::new(move || failover(rc))),
-        ("--rings", Box::new(move || rings(rc))),
-        ("--differential", Box::new(move || differential(rc))),
-    ];
-
-    let known: Vec<&str> = experiments.iter().map(|(f, _)| *f).collect();
+    let known: Vec<&str> = EXPERIMENTS.iter().map(|(f, _)| *f).collect();
     for a in &args {
         if a != "--all" && a != "--quick" && !known.contains(&a.as_str()) {
             eprintln!("unknown flag {a}; known: --all --quick {}", known.join(" "));
@@ -201,9 +246,9 @@ fn main() {
     let mut obs: Option<ObsReport> = None;
 
     let mut ran = 0;
-    for (flag, run) in &experiments {
+    for (flag, run) in EXPERIMENTS {
         if want(flag) {
-            let report = run();
+            let report = run(rc);
             println!("{}", "=".repeat(74));
             println!("{report}");
             let name = flag.trim_start_matches("--");

@@ -9,6 +9,8 @@
 //! commit the new file — and justify the counter change in the PR, since
 //! Table 3 is the paper's central cost claim.
 
+mod golden;
+
 use vrio_bench::{tab3, ReproConfig};
 use vrio_sim::SimDuration;
 
@@ -19,33 +21,10 @@ fn tab3_counters_match_the_committed_golden_file() {
         tail_duration: SimDuration::millis(120),
         ring: vrio_virtio::RingConfig::split_basic(),
     };
-    let actual = tab3(rc);
-    let expected = include_str!("golden/tab3_quick.txt");
-    if actual == expected {
-        return;
-    }
-    let mut diff = String::new();
-    let mut exp_lines = expected.lines();
-    let mut act_lines = actual.lines();
-    let mut n = 0usize;
-    loop {
-        n += 1;
-        match (exp_lines.next(), act_lines.next()) {
-            (None, None) => break,
-            (e, a) if e == a => continue,
-            (e, a) => {
-                diff.push_str(&format!(
-                    "  line {n}:\n    golden: {}\n    actual: {}\n",
-                    e.unwrap_or("<end of file>"),
-                    a.unwrap_or("<end of file>"),
-                ));
-            }
-        }
-    }
-    panic!(
-        "Table 3 output diverged from tests/golden/tab3_quick.txt — the \
-         per-request event counters changed:\n{diff}\
-         If the change is intentional, regenerate the golden file and \
-         explain the counter delta in the PR."
+    golden::assert_golden(
+        "tab3_quick.txt",
+        include_str!("golden/tab3_quick.txt"),
+        &tab3(rc),
+        "the per-request event counters changed",
     );
 }
