@@ -21,10 +21,10 @@
 //!   counts for CI smoke).
 //! * `cargo bench --bench engine -- --perf OUT.json [--quick]` — the
 //!   recorded perf harness: longer steady-state runs, the host AES-256-CTR
-//!   throughput of the interposition path, plus an in-process
-//!   `--sweep smoke` wall-time measurement, written as a schema-versioned
-//!   `BENCH_perf` document that `checkbench --perf` gates against
-//!   `benches/BENCH_perf_seed.json`.
+//!   throughput of the interposition path, plus in-process wall times of
+//!   the `--sweep smoke` grid and one chaos campaign, written as a
+//!   schema-versioned `BENCH_perf` document that `checkbench --perf` gates
+//!   against `benches/BENCH_perf_seed.json`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -32,7 +32,7 @@ use std::time::Instant;
 
 use criterion::{black_box, Criterion, Throughput};
 use vrio::AesCtr;
-use vrio_bench::{run_sweep, ReproConfig, SweepSpec};
+use vrio_bench::{run_chaos, run_sweep, ChaosCampaign, ReproConfig, SweepSpec};
 use vrio_sim::{Dispatch, Engine, SimDuration, SimTime};
 use vrio_trace::Json;
 
@@ -431,6 +431,20 @@ fn perf_mode(quick: bool, out: &str) {
         result.results.len()
     );
 
+    // One chaos campaign end to end, oracle on: the replicas of
+    // `repro --quick --chaos primary-kill --threads 1` without rendering.
+    // Best of three, since host noise only ever adds time.
+    let campaign =
+        ChaosCampaign::named("primary-kill", ReproConfig::quick()).expect("known campaign");
+    let chaos_ms = (0..3)
+        .map(|_| {
+            let t = Instant::now();
+            black_box(run_chaos(&campaign, 1, false).expect("chaos campaign runs"));
+            t.elapsed().as_secs_f64() * 1e3
+        })
+        .fold(f64::INFINITY, f64::min);
+    eprintln!("perf chaos primary-kill: {chaos_ms:.1} ms (best of 3, one thread)");
+
     let mut fields: Vec<(&str, Json)> = vec![
         ("schema_version", Json::int(PERF_SCHEMA_VERSION)),
         ("kind", Json::str("perf")),
@@ -448,6 +462,7 @@ fn perf_mode(quick: bool, out: &str) {
     metric_fields.push(("aes256_ctr_bytes_per_sec", Json::Num(aes_rate)));
     metric_fields.push(("sweep_allocs_per_request", Json::Num(allocs_per_request)));
     metric_fields.push(("sweep_smoke_wall_ms", Json::Num(sweep_ms)));
+    metric_fields.push(("chaos_primary_kill_wall_ms", Json::Num(chaos_ms)));
     fields.push(("metrics", Json::obj(metric_fields)));
     let doc = Json::obj(fields);
     std::fs::write(out, doc.render_pretty() + "\n")

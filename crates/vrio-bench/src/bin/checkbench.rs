@@ -23,13 +23,19 @@
 //! runners) reports regressions without failing. The documents must agree
 //! on `schema_version`, `quick` and `events_per_run`.
 //!
-//! Exits 0 when every check passes, 1 otherwise.
+//! Exits 0 when every check passes, 1 when a check fails (an unreadable
+//! or malformed input included) and 2 on a usage error.
 
 use vrio_trace::Json;
 
 fn fail(msg: &str) -> ! {
     eprintln!("checkbench: {msg}");
     std::process::exit(1);
+}
+
+fn usage_error(msg: &str) -> ! {
+    eprintln!("checkbench: {msg}");
+    std::process::exit(2);
 }
 
 fn load(path: &str) -> Json {
@@ -177,28 +183,28 @@ fn main() {
         match a.as_str() {
             "--baseline" => match it.next() {
                 Some(p) => baseline = Some(p),
-                None => fail("--baseline needs a file argument"),
+                None => usage_error("--baseline needs a file argument"),
             },
             "--tolerance" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
                 Some(t) if t >= 0.0 => tolerance = Some(t),
-                _ => fail("--tolerance needs a non-negative number"),
+                _ => usage_error("--tolerance needs a non-negative number"),
             },
             "--perf" => perf = true,
             "--warn-only" => warn_only = true,
-            _ if a.starts_with("--") => fail(&format!("unknown flag {a}")),
+            _ if a.starts_with("--") => usage_error(&format!("unknown flag {a}")),
             _ if file.is_none() => file = Some(a),
-            _ => fail("more than one input file given"),
+            _ => usage_error("more than one input file given"),
         }
     }
     let (Some(file), Some(baseline_path)) = (file, baseline) else {
-        fail(
+        usage_error(
             "usage: checkbench RESULT.json --baseline FILE [--tolerance 0.15]\n\
                     checkbench --perf BENCH_perf.json --baseline FILE \
              [--tolerance 0.5] [--warn-only]",
         );
     };
     if warn_only && !perf {
-        fail("--warn-only only applies to --perf mode");
+        usage_error("--warn-only only applies to --perf mode");
     }
     if perf {
         perf_gate(&file, &baseline_path, tolerance.unwrap_or(0.5), warn_only);

@@ -18,7 +18,8 @@
 //! per-scope wall-clock statistics for shape and internal consistency
 //! (never for values — profiles are nondeterministic by nature). Each
 //! `--require` takes a dotted path that must resolve through nested
-//! objects. Exits 0 when every check passes, 1 otherwise.
+//! objects. Exits 0 when every check passes, 1 when a check fails (an
+//! unreadable or malformed input included) and 2 on a usage error.
 
 use vrio_bench::PROF_SCHEMA_VERSION;
 use vrio_trace::{Json, TELEM_SCHEMA_VERSION};
@@ -26,6 +27,11 @@ use vrio_trace::{Json, TELEM_SCHEMA_VERSION};
 fn fail(msg: &str) -> ! {
     eprintln!("checkjson: {msg}");
     std::process::exit(1);
+}
+
+fn usage_error(msg: &str) -> ! {
+    eprintln!("checkjson: {msg}");
+    std::process::exit(2);
 }
 
 /// Checks one embedded telemetry run (`kind: "telemetry"`) and returns its
@@ -226,25 +232,25 @@ fn main() {
             "--prof" => prof = true,
             "--require" => match it.next() {
                 Some(p) => requires.push(p),
-                None => fail("--require needs a dotted path argument"),
+                None => usage_error("--require needs a dotted path argument"),
             },
             "--require-track" => match it.next() {
                 Some(p) => require_tracks.push(p),
-                None => fail("--require-track needs a track name argument"),
+                None => usage_error("--require-track needs a track name argument"),
             },
-            _ if a.starts_with("--") => fail(&format!("unknown flag {a}")),
+            _ if a.starts_with("--") => usage_error(&format!("unknown flag {a}")),
             _ if file.is_none() => file = Some(a),
-            _ => fail("more than one input file given"),
+            _ => usage_error("more than one input file given"),
         }
     }
     let Some(file) = file else {
-        fail(
+        usage_error(
             "usage: checkjson FILE [--chrome] [--telem [--require-track NAME]...] \
              [--prof] [--require dotted.path]...",
         );
     };
     if !require_tracks.is_empty() && !telem {
-        fail("--require-track only applies to --telem mode");
+        usage_error("--require-track only applies to --telem mode");
     }
 
     let text = std::fs::read_to_string(&file)

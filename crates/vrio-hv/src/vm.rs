@@ -297,6 +297,9 @@ pub struct Vm {
     ring: RingConfig,
     net: VirtioNetDevice,
     blk: VirtioBlkDevice,
+    /// Advanced on entry to every method that can change a virtqueue's
+    /// books (see [`Vm::ring_generation`]).
+    ring_gen: u64,
 }
 
 impl Vm {
@@ -320,7 +323,22 @@ impl Vm {
             ring,
             net,
             blk,
+            ring_gen: 0,
         }
+    }
+
+    /// The ring generation: a counter advanced on entry to every `&mut self`
+    /// method that can change a virtqueue's driver or device books (error
+    /// paths included). The books are private to `Vm`, so two equal
+    /// generations bracket an interval in which [`Vm::ring_audit`] cannot
+    /// have changed — which lets an invariant checker skip re-auditing an
+    /// untouched VM without weakening the check.
+    pub fn ring_generation(&self) -> u64 {
+        self.ring_gen
+    }
+
+    fn touch_rings(&mut self) {
+        self.ring_gen += 1;
     }
 
     /// The negotiated ring configuration shared by all of this VM's queues.
@@ -334,6 +352,7 @@ impl Vm {
     /// suppression structs. A no-op for split-basic rings, which have no
     /// suppression machinery.
     pub fn set_device_polling(&mut self, polling: bool) -> Result<(), DeviceError> {
+        self.touch_rings();
         self.net.tx_dev.set_polling(&mut self.mem, polling)?;
         self.net.rx_dev.set_polling(&mut self.mem, polling)?;
         self.blk.dev.set_polling(&mut self.mem, polling)?;
@@ -384,6 +403,7 @@ impl Vm {
 
     /// Guest transmits with an explicit virtio-net header (e.g. GSO).
     pub fn net_send_hdr(&mut self, hdr: NetHdr, payload: &[u8]) -> Result<u16, DeviceError> {
+        self.touch_rings();
         if payload.len() + NET_HDR_SIZE > NET_SLOT {
             return Err(DeviceError::PayloadTooLarge {
                 len: payload.len(),
@@ -417,6 +437,7 @@ impl Vm {
 
     /// Guest reaps transmit completions, freeing buffers. Returns how many.
     pub fn net_reap_tx(&mut self) -> Result<usize, DeviceError> {
+        self.touch_rings();
         let mut n = 0;
         while let Some(used) = self.net.tx_drv.poll_used(&self.mem)? {
             let slot = self
@@ -433,6 +454,7 @@ impl Vm {
 
     /// Guest posts receive buffers until the ring or pool is exhausted.
     pub fn net_refill_rx(&mut self) -> Result<usize, DeviceError> {
+        self.touch_rings();
         let mut n = 0;
         loop {
             if self.net.rx_drv.free_descriptors() == 0 {
@@ -466,6 +488,7 @@ impl Vm {
     /// Guest receives one message if available: parses the virtio header
     /// and returns the payload.
     pub fn net_recv(&mut self) -> Result<Option<Bytes>, DeviceError> {
+        self.touch_rings();
         let Some(used) = self.net.rx_drv.poll_used(&self.mem)? else {
             return Ok(None);
         };
@@ -494,6 +517,7 @@ impl Vm {
 
     /// Back-end fetches one transmitted message: `(head, hdr, payload)`.
     pub fn net_fetch_tx(&mut self) -> Result<Option<(u16, NetHdr, Bytes)>, DeviceError> {
+        self.touch_rings();
         let chain = &mut self.net.scratch_chain;
         if !self.net.tx_dev.pop_avail_into(&self.mem, chain)? {
             self.net.tx_dev.arm(&mut self.mem)?;
@@ -508,6 +532,7 @@ impl Vm {
 
     /// Back-end completes a transmitted chain.
     pub fn net_complete_tx(&mut self, head: u16) -> Result<(), DeviceError> {
+        self.touch_rings();
         self.net.tx_dev.push_used(&mut self.mem, head, 0)?;
         self.net.tx_dev.should_signal(&self.mem)?;
         Ok(())
@@ -515,6 +540,7 @@ impl Vm {
 
     /// Back-end delivers a received packet into a posted rx buffer.
     pub fn net_deliver_rx(&mut self, payload: &[u8]) -> Result<(), DeviceError> {
+        self.touch_rings();
         let chain = &mut self.net.scratch_chain;
         if !self.net.rx_dev.pop_avail_into(&self.mem, chain)? {
             self.net.rx_dev.arm(&mut self.mem)?;
@@ -537,6 +563,7 @@ impl Vm {
     /// Guest submits a block request. The data of writes is copied into a
     /// guest buffer; reads reserve buffer space for the device to fill.
     pub fn blk_submit(&mut self, req: &BlockRequest) -> Result<u16, DeviceError> {
+        self.touch_rings();
         let data_len = match req.kind {
             BlockKind::Write => req.data.len(),
             BlockKind::Read => req.len as usize,
@@ -606,6 +633,7 @@ impl Vm {
 
     /// Guest reaps block completions.
     pub fn blk_reap(&mut self) -> Result<Vec<BlkCompletion>, DeviceError> {
+        self.touch_rings();
         let mut done = Vec::new();
         while let Some(used) = self.blk.drv.poll_used(&self.mem)? {
             let p = self
@@ -647,6 +675,7 @@ impl Vm {
 
     /// Back-end fetches one block request: `(head, hdr, write payload)`.
     pub fn blk_fetch(&mut self) -> Result<Option<(u16, BlkHdr, Bytes)>, DeviceError> {
+        self.touch_rings();
         let Some(chain) = self.blk.dev.pop_avail(&self.mem)? else {
             self.blk.dev.arm(&mut self.mem)?;
             return Ok(None);
@@ -668,6 +697,7 @@ impl Vm {
         status: u8,
         read_data: &[u8],
     ) -> Result<(), DeviceError> {
+        self.touch_rings();
         let chain = self
             .blk
             .inflight_chains
@@ -819,6 +849,116 @@ mod tests {
         }
         assert_eq!(vm.ring_ops().driver_kicks, before);
         assert!(vm.ring_ops().kicks_suppressed >= 4);
+    }
+
+    /// Runs `op` and asserts it advanced the ring generation.
+    fn advances<T>(vm: &mut Vm, what: &str, op: impl FnOnce(&mut Vm) -> T) -> T {
+        let before = vm.ring_generation();
+        let out = op(vm);
+        assert!(
+            vm.ring_generation() > before,
+            "{what} did not advance the ring generation"
+        );
+        out
+    }
+
+    #[test]
+    fn every_ring_mutator_advances_the_generation_even_when_it_fails() {
+        let mut vm = Vm::new(VmId(0));
+        assert_eq!(vm.ring_generation(), 0);
+
+        // Success paths, one full net and blk round trip.
+        advances(&mut vm, "set_device_polling", |vm| {
+            vm.set_device_polling(true)
+        })
+        .unwrap();
+        advances(&mut vm, "net_refill_rx", Vm::net_refill_rx).unwrap();
+        advances(&mut vm, "net_send_hdr", |vm| {
+            vm.net_send_hdr(NetHdr::plain(), b"a")
+        })
+        .unwrap();
+        let (head, _, _) = advances(&mut vm, "net_fetch_tx", Vm::net_fetch_tx)
+            .unwrap()
+            .unwrap();
+        advances(&mut vm, "net_complete_tx", |vm| vm.net_complete_tx(head)).unwrap();
+        assert_eq!(
+            advances(&mut vm, "net_reap_tx", Vm::net_reap_tx).unwrap(),
+            1
+        );
+        advances(&mut vm, "net_deliver_rx", |vm| vm.net_deliver_rx(b"b")).unwrap();
+        assert!(advances(&mut vm, "net_recv", Vm::net_recv)
+            .unwrap()
+            .is_some());
+        let req = BlockRequest::read(RequestId(1), 0, 512);
+        advances(&mut vm, "blk_submit", |vm| vm.blk_submit(&req)).unwrap();
+        let (head, _, _) = advances(&mut vm, "blk_fetch", Vm::blk_fetch)
+            .unwrap()
+            .unwrap();
+        advances(&mut vm, "blk_complete", |vm| {
+            vm.blk_complete(head, BLK_S_OK, &[0; 512])
+        })
+        .unwrap();
+        assert_eq!(
+            advances(&mut vm, "blk_reap", Vm::blk_reap).unwrap().len(),
+            1
+        );
+
+        // Empty and failing paths advance it too.
+        assert!(advances(&mut vm, "net_fetch_tx", Vm::net_fetch_tx)
+            .unwrap()
+            .is_none());
+        assert!(advances(&mut vm, "net_recv", Vm::net_recv)
+            .unwrap()
+            .is_none());
+        assert!(advances(&mut vm, "blk_fetch", Vm::blk_fetch)
+            .unwrap()
+            .is_none());
+        assert!(advances(&mut vm, "blk_reap", Vm::blk_reap)
+            .unwrap()
+            .is_empty());
+        assert_eq!(
+            advances(&mut vm, "blk_complete", |vm| vm.blk_complete(
+                7,
+                BLK_S_OK,
+                &[]
+            )),
+            Err(DeviceError::UnknownHead(7))
+        );
+        let big = BlockRequest::read(RequestId(2), 0, BLK_SLOT as u32);
+        assert!(matches!(
+            advances(&mut vm, "blk_submit", |vm| vm.blk_submit(&big)),
+            Err(DeviceError::PayloadTooLarge { .. })
+        ));
+        let mut fresh = Vm::new(VmId(1));
+        assert_eq!(
+            advances(&mut fresh, "net_deliver_rx", |vm| vm.net_deliver_rx(b"x")),
+            Err(DeviceError::RxStarved)
+        );
+        while fresh.net_send(b"x").is_ok() {}
+        assert_eq!(
+            advances(&mut fresh, "net_send", |vm| vm.net_send(b"x")),
+            Err(DeviceError::NoBuffers)
+        );
+        while fresh.net_refill_rx().unwrap() > 0 {}
+        assert_eq!(
+            advances(&mut fresh, "net_refill_rx", Vm::net_refill_rx),
+            Ok(0)
+        );
+        // A completion for a head the guest never published: the device
+        // half accepts it, the driver half's reap then fails.
+        advances(&mut fresh, "net_complete_tx", |vm| vm.net_complete_tx(200)).unwrap();
+        assert!(advances(&mut fresh, "net_reap_tx", Vm::net_reap_tx).is_err());
+
+        // Read-only methods leave it alone.
+        let gen = vm.ring_generation();
+        let _ = (
+            vm.ring_audit(),
+            vm.ring_ops(),
+            vm.blk_pending(),
+            vm.net_counters(),
+        );
+        let _ = (vm.blk_counters(), vm.net_tx_pending(), vm.ring_config());
+        assert_eq!(vm.ring_generation(), gen);
     }
 
     #[test]

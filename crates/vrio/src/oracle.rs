@@ -13,7 +13,9 @@
 //!   [`Oracle::flow_drop`] / [`Oracle::finish`]).
 //! * **Descriptor conservation** — virtqueue push/pop/complete never leaks
 //!   or duplicates ring slots, checked against live
-//!   [`vrio_virtio::RingOps`] counters at every lifecycle mark
+//!   [`vrio_virtio::RingOps`] counters at every lifecycle mark, over each
+//!   queue of every VM whose ring generation
+//!   ([`vrio_hv::Vm::ring_generation`]) has advanced since its last audit
 //!   ([`Oracle::audit_queue`]).
 //! * **Byte conservation** — payloads survive encapsulation → wire →
 //!   decapsulation unchanged, including the fake-TCP TSO
@@ -119,16 +121,33 @@ pub struct OracleReport {
     pub violations_dropped: u64,
 }
 
-/// How an exactly-once ledger entry was closed.
+/// Where an exactly-once ledger entry stands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Closed {
+enum FlowState {
+    Open,
     Completed,
     Dropped,
+    /// Reported as leaked by [`Oracle::finish`]: out of the books, so a
+    /// late completion reads as one for a flow that was never begun.
+    Leaked,
 }
 
-struct OpenFlow {
+impl FlowState {
+    fn verb(self) -> &'static str {
+        match self {
+            FlowState::Completed => "completed",
+            FlowState::Dropped => "dropped",
+            FlowState::Open | FlowState::Leaked => unreachable!("not a closure"),
+        }
+    }
+}
+
+/// One request in the dense exactly-once ledger; token `t` lives at index
+/// `t - 1`.
+struct FlowRecord {
     kind: &'static str,
     begun: SimTime,
+    state: FlowState,
 }
 
 /// Recorded violations are capped to keep a badly broken run from
@@ -138,14 +157,15 @@ const MAX_VIOLATIONS: usize = 256;
 #[derive(Default)]
 struct Inner {
     checks: u64,
-    next_flow: u64,
-    open: HashMap<u64, OpenFlow>,
-    closed: HashMap<u64, (&'static str, Closed)>,
-    flows_begun: u64,
+    /// The exactly-once ledger, indexed by token − 1 (tokens are issued
+    /// densely from 1).
+    flows: Vec<FlowRecord>,
     flows_completed: u64,
     flows_dropped: u64,
-    /// Per-device steering state: (requests in flight, owning worker).
-    steer: HashMap<u32, (u64, usize)>,
+    /// Per-device steering state, indexed by device id (the testbed's
+    /// dense client index): (requests in flight, owning worker), `None`
+    /// until the device is first steered.
+    steer: Vec<Option<(u64, usize)>>,
     /// Sanctioned steering handoffs (failover re-pins), counted so chaos
     /// reports can show how often devices migrated between IOhosts.
     steer_handoffs: u64,
@@ -157,6 +177,14 @@ struct Inner {
 }
 
 impl Inner {
+    fn steer_entry(&mut self, device: u32) -> &mut Option<(u64, usize)> {
+        let d = device as usize;
+        if d >= self.steer.len() {
+            self.steer.resize(d + 1, None);
+        }
+        &mut self.steer[d]
+    }
+
     fn violate(&mut self, invariant: &'static str, message: String) {
         if self.violations.len() < MAX_VIOLATIONS {
             self.violations.push(Violation { invariant, message });
@@ -220,11 +248,12 @@ impl Oracle {
             return FlowToken::NONE;
         };
         let mut i = inner.borrow_mut();
-        i.next_flow += 1;
-        i.flows_begun += 1;
-        let token = i.next_flow;
-        i.open.insert(token, OpenFlow { kind, begun: now });
-        FlowToken(token)
+        i.flows.push(FlowRecord {
+            kind,
+            begun: now,
+            state: FlowState::Open,
+        });
+        FlowToken(i.flows.len() as u64)
     }
 
     /// Records that a flow's request or response was lost to a modeled
@@ -232,68 +261,65 @@ impl Oracle {
     /// to recover it. Closes the ledger entry: a later completion of the
     /// same flow is a violation.
     pub fn flow_drop(&self, token: FlowToken, now: SimTime) {
-        self.close_flow(token, now, Closed::Dropped);
+        self.close_flow(token, now, FlowState::Dropped);
     }
 
     /// Records a flow completion. Every begun flow must reach exactly one
     /// of [`Oracle::flow_complete`] / [`Oracle::flow_drop`]; a second
     /// closure or a completion of an unknown token is a violation.
     pub fn flow_complete(&self, token: FlowToken, now: SimTime) {
-        self.close_flow(token, now, Closed::Completed);
+        self.close_flow(token, now, FlowState::Completed);
     }
 
-    fn close_flow(&self, token: FlowToken, now: SimTime, how: Closed) {
+    fn close_flow(&self, token: FlowToken, now: SimTime, how: FlowState) {
         let Some(inner) = &self.inner else { return };
         if token == FlowToken::NONE {
             return;
         }
         let mut i = inner.borrow_mut();
+        let i = &mut *i;
         i.checks += 1;
-        match i.open.remove(&token.0) {
-            Some(flow) => {
-                if now < flow.begun {
+        let record = usize::try_from(token.0 - 1)
+            .ok()
+            .and_then(|at| i.flows.get_mut(at));
+        let msg = match record {
+            Some(flow) if flow.state == FlowState::Open => {
+                flow.state = how;
+                let (kind, begun) = (flow.kind, flow.begun);
+                match how {
+                    FlowState::Completed => i.flows_completed += 1,
+                    _ => i.flows_dropped += 1,
+                }
+                if now < begun {
                     i.violate(
                         "causality",
                         format!(
-                            "{} flow {} closed at {:?}, before it began at {:?}",
-                            flow.kind, token.0, now, flow.begun
+                            "{kind} flow {} closed at {now:?}, before it began at {begun:?}",
+                            token.0
                         ),
                     );
                 }
-                match how {
-                    Closed::Completed => i.flows_completed += 1,
-                    Closed::Dropped => i.flows_dropped += 1,
-                }
-                i.closed.insert(token.0, (flow.kind, how));
+                return;
             }
-            None => {
-                let msg = match i.closed.get(&token.0) {
-                    Some((kind, prev)) => format!(
-                        "{kind} flow {} closed twice: already {} and now {} at {now:?} \
-                         — a completion was delivered more than once",
-                        token.0,
-                        match prev {
-                            Closed::Completed => "completed",
-                            Closed::Dropped => "dropped",
-                        },
-                        match how {
-                            Closed::Completed => "completed",
-                            Closed::Dropped => "dropped",
-                        },
-                    ),
-                    None => format!(
-                        "flow {} {} at {now:?} but was never begun — \
-                         a completion appeared out of thin air",
-                        token.0,
-                        match how {
-                            Closed::Completed => "completed",
-                            Closed::Dropped => "dropped",
-                        },
-                    ),
-                };
-                i.violate("exactly-once", msg);
-            }
-        }
+            Some(&mut FlowRecord {
+                kind,
+                state: prev @ (FlowState::Completed | FlowState::Dropped),
+                ..
+            }) => format!(
+                "{kind} flow {} closed twice: already {} and now {} at {now:?} \
+                 — a completion was delivered more than once",
+                token.0,
+                prev.verb(),
+                how.verb(),
+            ),
+            _ => format!(
+                "flow {} {} at {now:?} but was never begun — \
+                 a completion appeared out of thin air",
+                token.0,
+                how.verb(),
+            ),
+        };
+        i.violate("exactly-once", msg);
     }
 
     /// End-of-run ledger audit: every flow still open leaked — it was
@@ -303,19 +329,22 @@ impl Oracle {
         let Some(inner) = &self.inner else { return };
         let mut i = inner.borrow_mut();
         i.checks += 1;
-        let mut leaked: Vec<(u64, &'static str, SimTime)> =
-            i.open.iter().map(|(&t, f)| (t, f.kind, f.begun)).collect();
-        leaked.sort_by_key(|&(t, _, _)| t);
-        for (token, kind, begun) in leaked {
+        for at in 0..i.flows.len() {
+            let flow = &mut i.flows[at];
+            if flow.state != FlowState::Open {
+                continue;
+            }
+            flow.state = FlowState::Leaked;
+            let (kind, begun) = (flow.kind, flow.begun);
             i.violate(
                 "exactly-once",
                 format!(
-                    "{kind} flow {token} begun at {begun:?} never completed nor dropped \
-                     — the request leaked"
+                    "{kind} flow {} begun at {begun:?} never completed nor dropped \
+                     — the request leaked",
+                    at + 1
                 ),
             );
         }
-        i.open.clear();
     }
 
     // ---- descriptor conservation -----------------------------------------
@@ -331,8 +360,10 @@ impl Oracle {
     /// segment, so packed or indirect rings cannot silently bypass the
     /// audit. When indirect tables are negotiated the table books are
     /// checked too (`free + in_use == capacity` from two independently
-    /// maintained books). Called for every VM queue at every lifecycle
-    /// mark.
+    /// maintained books). `Testbed::audit_rings` calls it at every
+    /// lifecycle mark for each queue of every VM whose ring generation has
+    /// advanced since that VM's last audit; an untouched queue's snapshot,
+    /// and so its verdict, cannot have changed.
     pub fn audit_queue(&self, vm: usize, q: &QueueAudit) {
         let Some(inner) = &self.inner else { return };
         let mut i = inner.borrow_mut();
@@ -545,7 +576,10 @@ impl Oracle {
         let Some(inner) = &self.inner else { return };
         let mut i = inner.borrow_mut();
         i.checks += 1;
-        let (inflight, owner) = i.steer.get(&device).copied().unwrap_or((0, worker));
+        let entry = i.steer_entry(device);
+        let (inflight, owner) = entry.unwrap_or((0, worker));
+        // Track the latest decision so one bug reports once per switch.
+        *entry = Some((inflight + 1, worker));
         if inflight > 0 && owner != worker {
             i.violate(
                 "fifo-steering",
@@ -556,8 +590,6 @@ impl Oracle {
                 ),
             );
         }
-        // Track the latest decision so one bug reports once per switch.
-        i.steer.insert(device, (inflight + 1, worker));
     }
 
     /// Records a *sanctioned* steering handoff: `device`'s next request
@@ -572,11 +604,12 @@ impl Oracle {
         let Some(inner) = &self.inner else { return };
         let mut i = inner.borrow_mut();
         i.checks += 1;
-        let (inflight, owner) = i.steer.get(&device).copied().unwrap_or((0, worker));
+        let entry = i.steer_entry(device);
+        let (inflight, owner) = entry.unwrap_or((0, worker));
+        *entry = Some((inflight + 1, worker));
         if owner != worker {
             i.steer_handoffs += 1;
         }
-        i.steer.insert(device, (inflight + 1, worker));
     }
 
     /// Sanctioned steering handoffs recorded via [`Oracle::steer_handoff`]
@@ -593,8 +626,8 @@ impl Oracle {
         let Some(inner) = &self.inner else { return };
         let mut i = inner.borrow_mut();
         i.checks += 1;
-        match i.steer.get_mut(&device) {
-            Some((inflight, _)) if *inflight > 0 => *inflight -= 1,
+        match i.steer.get_mut(device as usize) {
+            Some(Some((inflight, _))) if *inflight > 0 => *inflight -= 1,
             _ => i.violate(
                 "fifo-steering",
                 format!(
@@ -691,7 +724,7 @@ impl Oracle {
                 let i = inner.borrow();
                 OracleReport {
                     checks: i.checks,
-                    flows_begun: i.flows_begun,
+                    flows_begun: i.flows.len() as u64,
                     flows_completed: i.flows_completed,
                     flows_dropped: i.flows_dropped,
                     violations: i.violations.clone(),
@@ -834,6 +867,75 @@ mod tests {
         assert_eq!(v[0].invariant, "exactly-once");
         assert!(v[0].message.contains("leaked"), "{}", v[0].message);
         assert!(v[0].message.contains("blk"), "{}", v[0].message);
+    }
+
+    fn messages(o: &Oracle) -> Vec<String> {
+        o.violations().into_iter().map(|v| v.to_string()).collect()
+    }
+
+    #[test]
+    fn never_issued_token_reads_as_out_of_thin_air() {
+        let o = on();
+        let _ = o.flow_begin("blk", t(0));
+        o.flow_complete(FlowToken(42), t(3));
+        o.flow_drop(FlowToken(43), t(4));
+        assert_eq!(
+            messages(&o),
+            [
+                "[exactly-once] flow 42 completed at SimTime(3000) but was never begun — \
+                 a completion appeared out of thin air",
+                "[exactly-once] flow 43 dropped at SimTime(4000) but was never begun — \
+                 a completion appeared out of thin air",
+            ]
+        );
+        assert_eq!(o.report().flows_completed, 0);
+    }
+
+    #[test]
+    fn completion_after_finish_reported_the_leak_reads_as_never_begun() {
+        let o = on();
+        let done = o.flow_begin("blk", t(0));
+        let late = o.flow_begin("net_rr", t(1));
+        o.flow_complete(done, t(2));
+        o.finish();
+        o.flow_complete(late, t(9));
+        o.finish(); // a leak is reported once
+        o.flow_drop(done, t(10));
+        assert_eq!(
+            messages(&o),
+            [
+                "[exactly-once] net_rr flow 2 begun at SimTime(1000) never completed nor \
+                 dropped — the request leaked",
+                "[exactly-once] flow 2 completed at SimTime(9000) but was never begun — \
+                 a completion appeared out of thin air",
+                "[exactly-once] blk flow 1 closed twice: already completed and now dropped at \
+                 SimTime(10000) — a completion was delivered more than once",
+            ]
+        );
+        let r = o.report();
+        assert_eq!(
+            (r.flows_begun, r.flows_completed, r.flows_dropped),
+            (2, 1, 0)
+        );
+    }
+
+    #[test]
+    fn flow_closed_before_it_began_fires_causality() {
+        let o = on();
+        let tok = o.flow_begin("blk", t(5));
+        o.flow_complete(tok, t(4));
+        assert_eq!(
+            messages(&o),
+            ["[causality] blk flow 1 closed at SimTime(4000), before it began at SimTime(5000)"]
+        );
+        assert_eq!(o.report().flows_completed, 1);
+    }
+
+    #[test]
+    fn ledger_record_is_no_larger_than_a_hashed_closed_entry() {
+        // The hashed ledger stored (token, (kind, how)) per closed flow.
+        type HashedEntry = (u64, (&'static str, FlowState));
+        assert!(std::mem::size_of::<FlowRecord>() <= std::mem::size_of::<HashedEntry>());
     }
 
     #[test]

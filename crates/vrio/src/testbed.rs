@@ -945,6 +945,9 @@ pub struct Testbed {
     pub trace: Tracer,
     /// The simulation oracle (inert unless the config enables it).
     pub oracle: Oracle,
+    /// Per VM, the ring generation at which [`Testbed::audit_rings`] last
+    /// audited its queues (`None`: never audited).
+    audited_gen: Vec<Option<u64>>,
     /// Time-series telemetry sampler (inert unless the config enables it).
     pub telemetry: Telemetry,
     /// Wall-clock self-profiler (inert unless the config enables it).
@@ -1079,6 +1082,7 @@ impl Testbed {
             blk_outcome: None,
             trace,
             oracle,
+            audited_gen: vec![None; config.num_vms],
             telemetry,
             profiler,
             slo,
@@ -1089,15 +1093,26 @@ impl Testbed {
         }
     }
 
-    /// Runs the oracle's descriptor-conservation audit over every VM's
-    /// virtqueues (no-op when the oracle is off). Invoked inline at every
-    /// lifecycle mark, so ring laws are checked continuously while flows
-    /// are mid-flight, not just at quiescence.
-    pub fn audit_rings(&self) {
+    /// Runs the oracle's descriptor-conservation audit (no-op when the
+    /// oracle is off). Invoked inline at every lifecycle mark, so ring laws
+    /// are checked continuously while flows are mid-flight, not just at
+    /// quiescence. Each mark audits every queue of each VM whose
+    /// [`Vm::ring_generation`] has advanced since that VM was last
+    /// audited. A queue's audit reads only books that change through the
+    /// generation-advancing methods, so a skipped VM would have returned
+    /// the verdict of its previous audit, and a violation is still caught
+    /// at the first mark after the call that caused it.
+    pub fn audit_rings(&mut self) {
         if !self.oracle.enabled() {
             return;
         }
-        for vm in &self.vms {
+        self.audited_gen.resize(self.vms.len(), None);
+        for (vm, audited) in self.vms.iter().zip(&mut self.audited_gen) {
+            let gen = vm.ring_generation();
+            if *audited == Some(gen) {
+                continue;
+            }
+            *audited = Some(gen);
             for q in vm.ring_audit() {
                 self.oracle.audit_queue(vm.id.0, &q);
             }

@@ -249,7 +249,7 @@ fn vrio_blk_requests_stay_under_budget() {
         }
         w.next += 1;
         let sector = (w.next % 64) * 8;
-        let req = if w.next % 2 == 0 {
+        let req = if w.next.is_multiple_of(2) {
             BlockRequest::write(RequestId(w.next), sector, data.clone())
         } else {
             BlockRequest::read(RequestId(w.next), sector, 4096)

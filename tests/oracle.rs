@@ -411,3 +411,99 @@ fn metamorphic_model_ordering_dominance() {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// Ring generations: the ring audit's skip rule
+// ---------------------------------------------------------------------------
+
+#[test]
+fn ring_audit_changes_only_when_the_ring_generation_advances() {
+    // The oracle audits a VM's queues only when its ring generation has
+    // advanced since the last audit. That is sound only if no snapshot can
+    // change while the generation stays put: checked here after every
+    // engine event of a multi-VM run mixing RR and block traffic (TSO
+    // trains and retransmissions included) under active faults.
+    const VMS: usize = 4;
+    let mut c = TestbedConfig::simple(IoModel::Vrio, VMS);
+    c.faults = faulty_config(IoModel::Vrio, true).faults;
+    c.channel_loss = 0.02;
+    c.oracle = OracleConfig::on();
+    let mut tb = Testbed::new(c);
+    let mut eng: Engine<Testbed> = Engine::new();
+    let end = SimTime::ZERO + SimDuration::millis(8);
+
+    // RR traffic is open-loop (a fault-dropped request would end a closed
+    // loop): every VM issues one request each tick until the horizon.
+    fn rr_tick(tb: &mut Testbed, eng: &mut Engine<Testbed>, end: SimTime) {
+        for vm in 0..VMS {
+            let resp = 1 + (vm * 700) % 2000;
+            let req = Bytes::from_static(b"q");
+            net_request_response(tb, eng, vm, req, resp, SimDuration::micros(2), |_, _, _| {});
+        }
+        if eng.now() < end {
+            eng.schedule_in(SimDuration::micros(25), move |tb, eng| {
+                rr_tick(tb, eng, end)
+            });
+        }
+    }
+    fn blk(tb: &mut Testbed, eng: &mut Engine<Testbed>, vm: usize, i: u64, end: SimTime) {
+        let id = vrio_block::RequestId(i + 1);
+        let req = if i.is_multiple_of(2) {
+            // 20 KiB writes exceed the channel MTU: TSO trains.
+            vrio_block::BlockRequest::write(id, 8 * (i % 32), Bytes::from(vec![i as u8; 20 << 10]))
+        } else {
+            vrio_block::BlockRequest::read(id, 8 * (i % 32), 4096)
+        };
+        blk_request(tb, eng, vm, req, move |tb, eng, _| {
+            if eng.now() < end {
+                blk(tb, eng, vm, i + 1, end);
+            }
+        });
+    }
+    rr_tick(&mut tb, &mut eng, end);
+    for vm in (0..VMS).step_by(2) {
+        blk(&mut tb, &mut eng, vm, 0, end);
+    }
+
+    let fired: Rc<RefCell<u64>> = Rc::new(RefCell::new(0));
+    let counter = fired.clone();
+    eng.set_probe(move |_| *counter.borrow_mut() += 1);
+    let snapshot = |tb: &Testbed| -> Vec<(u64, [vrio_hv::QueueAudit; 3])> {
+        tb.vms
+            .iter()
+            .map(|vm| (vm.ring_generation(), vm.ring_audit()))
+            .collect()
+    };
+    let mut seen = snapshot(&tb);
+    let (mut events, mut advanced) = (0u64, 0u64);
+    while eng.step(&mut tb) {
+        events += 1;
+        assert_eq!(*fired.borrow(), events, "the probe saw every event");
+        let now = snapshot(&tb);
+        for (vm, (before, after)) in seen.iter().zip(&now).enumerate() {
+            if before.0 == after.0 {
+                assert_eq!(
+                    before.1,
+                    after.1,
+                    "vm{vm}: ring audit changed at event {events} (t={:?}) while \
+                     the ring generation stayed at {}",
+                    eng.now(),
+                    after.0
+                );
+            } else {
+                advanced += 1;
+            }
+        }
+        seen = now;
+    }
+    tb.oracle.finish();
+    tb.oracle.assert_clean("ring generation run");
+    let rel = tb.reliability_report();
+    assert!(events > 10_000, "run too short: {events} events");
+    assert!(
+        advanced > 1_000,
+        "generations advanced only {advanced} times"
+    );
+    assert!(rel.retransmissions > 0, "no retransmission exercised");
+    assert!(rel.block_completed > 50, "{rel:?}");
+}
