@@ -197,11 +197,13 @@ fn main() {
         }
     }
     let (Some(file), Some(baseline_path)) = (file, baseline) else {
-        usage_error(
-            "usage: checkbench RESULT.json --baseline FILE [--tolerance 0.15]\n\
-                    checkbench --perf BENCH_perf.json --baseline FILE \
-             [--tolerance 0.5] [--warn-only]",
-        );
+        // The second line is indented to sit under the first one's
+        // "checkbench" after the "checkbench: usage: " prefix.
+        usage_error(concat!(
+            "usage: checkbench RESULT.json --baseline FILE [--tolerance 0.15]\n",
+            "                   checkbench --perf BENCH_perf.json --baseline FILE ",
+            "[--tolerance 0.5] [--warn-only]",
+        ));
     };
     if warn_only && !perf {
         usage_error("--warn-only only applies to --perf mode");

@@ -20,8 +20,6 @@
 //! completed requests under the campaign's latency SLO.
 
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 use bytes::Bytes;
@@ -36,6 +34,7 @@ use vrio_sim::{scenario_seed, Engine, SimDuration, SimTime};
 use vrio_trace::{DropCause, Json, SloLedger, TelemetryConfig, TelemetryExport};
 
 use crate::report::{f, render_table, sparkline};
+use crate::sweep::run_indexed;
 use crate::sys_exps::ReproConfig;
 
 /// Schema version of the `BENCH_chaos_*.json` document. Bump on any
@@ -435,8 +434,9 @@ fn issue_blk(w: &mut ChaosWorld, eng: &mut Engine<ChaosWorld>) {
     );
 }
 
-/// Runs one replica to completion on the calling thread, asserting the
-/// oracle clean at exit.
+/// Runs one replica to completion on the calling thread, then closes the
+/// testbed's books (exactly-once leak and SKB pool audits) and asserts
+/// the oracle clean.
 pub fn run_replica(c: &ChaosCampaign, replica: usize) -> ReplicaResult {
     let seed = c.replica_seed(replica);
     let horizon = SimTime::ZERO + c.horizon;
@@ -451,14 +451,8 @@ pub fn run_replica(c: &ChaosCampaign, replica: usize) -> ReplicaResult {
         blk_next_id: 0,
     };
     let mut eng: Engine<ChaosWorld> = Engine::new();
-    {
-        let t = w.tb.trace.clone();
-        let o = w.tb.oracle.clone();
-        eng.set_probe(move |now| {
-            t.on_engine_event();
-            o.on_engine_event(now);
-        });
-    }
+    // Telemetry samples on the supervisor tick below, not on a grid.
+    w.tb.instrument(&mut eng);
 
     // Steady-state load: one RR loop per VM, one block loop on VM 0.
     for vm in 0..c.vms {
@@ -531,6 +525,7 @@ pub fn run_replica(c: &ChaosCampaign, replica: usize) -> ReplicaResult {
     }
 
     eng.run(&mut w);
+    w.tb.close_books();
     w.tb.oracle
         .assert_clean(&format!("chaos/{}/r{replica}", c.name));
     // Every request has exactly one fate: completed, dropped with one
@@ -590,40 +585,21 @@ pub fn run_chaos(
     progress: bool,
 ) -> Result<ChaosResult, ChaosError> {
     campaign.validate()?;
-    let n = campaign.replicas;
-    let threads = threads.max(1).min(n);
     let started = Instant::now();
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<ReplicaResult>>> = (0..n).map(|_| Mutex::new(None)).collect();
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let r = run_replica(campaign, i);
-                *slots[i].lock().expect("chaos slot poisoned") = Some(r);
-                if progress {
-                    eprintln!(
-                        "chaos {}: replica {i} done ({:.1}s elapsed)",
-                        campaign.name,
-                        started.elapsed().as_secs_f64()
-                    );
-                }
-            });
-        }
-    });
-
-    let replicas = slots
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("chaos slot poisoned")
-                .expect("every replica index was claimed and completed")
-        })
-        .collect();
+    let replicas = run_indexed(
+        campaign.replicas,
+        threads,
+        |i| run_replica(campaign, i),
+        |i, _, _| {
+            if progress {
+                eprintln!(
+                    "chaos {}: replica {i} done ({:.1}s elapsed)",
+                    campaign.name,
+                    started.elapsed().as_secs_f64()
+                );
+            }
+        },
+    );
     Ok(ChaosResult {
         campaign: campaign.clone(),
         replicas,

@@ -27,9 +27,7 @@ pub use differential::{
     all_cases, differential, run_case, run_pair, DiffCase, DiffFault, DiffWorkload, Digest,
     PairOutcome,
 };
-pub use obs::{
-    latency_breakdown, latency_breakdown_checked, latency_breakdown_instrumented, ObsReport,
-};
+pub use obs::{latency_breakdown_instrumented, ObsReport};
 pub use report::{downsample, f, render_reliability, render_table, sparkline};
 pub use sweep::{
     run_scenario, run_sweep, ConsolidationPoint, EfficiencyPoint, EfficiencySeries, Scenario,

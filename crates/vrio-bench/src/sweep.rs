@@ -511,12 +511,45 @@ pub fn run_sweep(
 ) -> Result<SweepResult, SweepError> {
     let scenarios = spec.expand()?;
     let n = scenarios.len();
-    let threads = threads.max(1).min(n);
     let started = Instant::now();
-    let next = AtomicUsize::new(0);
-    let done = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<ScenarioResult>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let results = run_indexed(
+        n,
+        threads,
+        |i| run_scenario(&scenarios[i]),
+        |_, r, k| {
+            if progress {
+                let elapsed = started.elapsed().as_secs_f64();
+                let eta = elapsed / k as f64 * (n - k) as f64;
+                eprintln!(
+                    "sweep {}: {k}/{n} {} ({elapsed:.1}s elapsed, ~{eta:.0}s left)",
+                    spec.name, r.key
+                );
+            }
+        },
+    );
+    Ok(SweepResult {
+        spec: spec.clone(),
+        results,
+    })
+}
 
+/// Runs `job(i)` for every `i` in `0..n` across up to `threads` scoped OS
+/// threads and returns the results in index order. Threads steal the next
+/// index off a shared counter, so the order jobs run in depends on
+/// scheduling, but a job that depends only on its index makes the result
+/// identical for any `threads >= 1`. After each job its worker thread
+/// calls `done(i, &result, finished)`, where `finished` counts the jobs
+/// done so far (for progress lines).
+pub(crate) fn run_indexed<T: Send>(
+    n: usize,
+    threads: usize,
+    job: impl Fn(usize) -> T + Sync,
+    done: impl Fn(usize, &T, usize) + Sync,
+) -> Vec<T> {
+    let threads = threads.max(1).min(n);
+    let next = AtomicUsize::new(0);
+    let finished = AtomicUsize::new(0);
+    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
         for _ in 0..threads {
             scope.spawn(|| loop {
@@ -524,34 +557,21 @@ pub fn run_sweep(
                 if i >= n {
                     break;
                 }
-                let r = run_scenario(&scenarios[i]);
-                let key = r.key.clone();
-                *slots[i].lock().expect("sweep slot poisoned") = Some(r);
-                let k = done.fetch_add(1, Ordering::Relaxed) + 1;
-                if progress {
-                    let elapsed = started.elapsed().as_secs_f64();
-                    let eta = elapsed / k as f64 * (n - k) as f64;
-                    eprintln!(
-                        "sweep {}: {k}/{n} {key} ({elapsed:.1}s elapsed, ~{eta:.0}s left)",
-                        spec.name
-                    );
-                }
+                let r = job(i);
+                let k = finished.fetch_add(1, Ordering::Relaxed) + 1;
+                done(i, &r, k);
+                *slots[i].lock().expect("runner slot poisoned") = Some(r);
             });
         }
     });
-
-    let results = slots
+    slots
         .into_iter()
         .map(|m| {
             m.into_inner()
-                .expect("sweep slot poisoned")
-                .expect("every scenario index was claimed and completed")
+                .expect("runner slot poisoned")
+                .expect("every index was claimed and completed")
         })
-        .collect();
-    Ok(SweepResult {
-        spec: spec.clone(),
-        results,
-    })
+        .collect()
 }
 
 /// One point of a scaling-efficiency series.

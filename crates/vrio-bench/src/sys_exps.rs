@@ -543,10 +543,13 @@ pub fn failover(rc: ReproConfig) -> String {
     let fail_at = SimTime::ZERO + horizon / 3;
     let recover_at = SimTime::ZERO + (horizon * 2u64) / 3;
     let mut cfg = cfg(rc, IoModel::Vrio, 2);
-    cfg.iohost_fails_at = Some(fail_at);
-    cfg.iohost_recovers_at = Some(recover_at);
+    cfg.iohost_outages = vec![vrio::Outage {
+        fails_at: fail_at,
+        recovers_at: Some(recover_at),
+    }];
     let mut tb = vrio::Testbed::new(cfg);
     let mut eng = Engine::new();
+    tb.instrument(&mut eng);
     // Completions per 5ms bucket, plus per-VM last-completion times so the
     // retry only revives loops that were actually blackholed.
     let buckets: Rc<RefCell<Vec<u64>>> = Rc::new(RefCell::new(vec![
@@ -611,6 +614,7 @@ pub fn failover(rc: ReproConfig) -> String {
         },
     );
     eng.run(&mut tb);
+    tb.close_books();
 
     let b = buckets.borrow();
     let series: Vec<f64> = b.iter().map(|&n| n as f64).collect();

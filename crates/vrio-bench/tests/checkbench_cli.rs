@@ -29,9 +29,11 @@ fn assert_exit(out: &Output, code: i32, stderr: &str, what: &str) {
     assert!(out.stdout.is_empty(), "{what} printed to stdout: {out:?}");
 }
 
-const CHECKBENCH_USAGE: &str = "checkbench: usage: checkbench RESULT.json --baseline FILE \
-     [--tolerance 0.15]\ncheckbench --perf BENCH_perf.json --baseline FILE \
-     [--tolerance 0.5] [--warn-only]\n";
+const CHECKBENCH_USAGE: &str = concat!(
+    "checkbench: usage: checkbench RESULT.json --baseline FILE [--tolerance 0.15]\n",
+    "                   checkbench --perf BENCH_perf.json --baseline FILE ",
+    "[--tolerance 0.5] [--warn-only]\n",
+);
 
 const CHECKJSON_USAGE: &str = "checkjson: usage: checkjson FILE [--chrome] [--telem \
      [--require-track NAME]...] [--prof] [--require dotted.path]...\n";

@@ -164,6 +164,13 @@ pub struct SpanId(pub(crate) u64);
 impl SpanId {
     /// The inert span handle (all operations on it are no-ops).
     pub const NONE: SpanId = SpanId(0);
+
+    /// The span's dense index: a tracer issues ids from 1 in `begin`
+    /// order, and [`SpanId::NONE`] is 0, so per-span state can live in a
+    /// plain vector.
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
 }
 
 /// Phase of a recorded trace event (maps onto Chrome trace-event `ph`).

@@ -287,24 +287,8 @@ pub fn run_filebench_with(
         bursty: matches!(personality, Personality::Webserver { bursty: true }),
     };
     let mut eng: Engine<FbWorld> = Engine::new();
-    eng.set_profiler(world.tb.profiler.clone());
-    // Observe-only probe: count engine event firings on the tracer. The
-    // probe neither schedules nor draws randomness, so enabling it keeps
-    // the run bit-identical.
-    if world.tb.trace.enabled() || world.tb.oracle.enabled() {
-        let t = world.tb.trace.clone();
-        let o = world.tb.oracle.clone();
-        let p = world.tb.profiler.clone();
-        eng.set_probe(move |now| {
-            {
-                let _g = p.scope("probe.tracer");
-                t.on_engine_event();
-            }
-            let _g = p.scope("probe.oracle");
-            o.on_engine_event(now);
-        });
-    }
-    crate::netperf::schedule_telemetry_grid(&world.tb, &mut eng, deadline);
+    world.tb.instrument(&mut eng);
+    world.tb.schedule_telemetry(&mut eng, deadline);
 
     for vm in 0..num_vms {
         match personality {
@@ -369,9 +353,7 @@ pub fn run_filebench_with(
         w.measuring = true
     });
     eng.run(&mut world);
-    world.tb.export_thread_tracks();
-    world.tb.oracle.finish();
-    world.tb.oracle.audit_pool("skb pool", &world.tb.skb_pool);
+    world.tb.close_books();
 
     let horizon = deadline;
     let window = SimDuration::millis(1);

@@ -96,16 +96,31 @@ pub fn run_txn_bench(
     profile: TxnProfile,
     duration: SimDuration,
 ) -> MacroResult {
+    run_txn_bench_with(config, profile, duration, |_| {})
+}
+
+/// [`run_txn_bench`] with a hook on the freshly built testbed, through
+/// which tests reach its observers.
+fn run_txn_bench_with(
+    config: TestbedConfig,
+    profile: TxnProfile,
+    duration: SimDuration,
+    setup: impl FnOnce(&mut Testbed),
+) -> MacroResult {
     let warmup = duration / 10;
     let deadline = SimTime::ZERO + warmup + duration;
     let num_vms = config.num_vms;
+    let mut tb = Testbed::new(config);
+    setup(&mut tb);
     let mut world = MacroWorld {
-        tb: Testbed::new(config),
+        tb,
         completed: 0,
         measuring: false,
         deadline,
     };
     let mut eng: Engine<MacroWorld> = Engine::new();
+    world.tb.instrument(&mut eng);
+    world.tb.schedule_telemetry(&mut eng, deadline);
 
     fn issue(w: &mut MacroWorld, eng: &mut Engine<MacroWorld>, vm: usize, p: TxnProfile) {
         let req = Bytes::from(vec![0x11u8; p.req_bytes]);
@@ -136,6 +151,7 @@ pub fn run_txn_bench(
         w.measuring = true
     });
     eng.run(&mut world);
+    world.tb.close_books();
 
     let tps = world.completed as f64 / duration.as_secs_f64();
     MacroResult {
@@ -148,6 +164,7 @@ pub fn run_txn_bench(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vrio::OracleConfig;
     use vrio_hv::IoModel;
 
     fn bench(model: IoModel, vms: usize, p: TxnProfile) -> MacroResult {
@@ -220,6 +237,42 @@ mod tests {
             vrio.tps,
             opt.tps
         );
+    }
+
+    #[test]
+    fn closes_the_oracle_books() {
+        let run = |model: IoModel, vms: usize, profile: TxnProfile, leak: bool| {
+            let mut c = TestbedConfig::simple(model, vms);
+            c.oracle = OracleConfig::on();
+            let mut oracle = None;
+            let r = run_txn_bench_with(c, profile, SimDuration::millis(5), |tb| {
+                if leak {
+                    tb.oracle.flow_begin("injected", SimTime::ZERO);
+                }
+                oracle = Some(tb.oracle.clone());
+            });
+            assert!(r.completed > 0, "{model}: nothing completed");
+            oracle.expect("setup ran")
+        };
+        // Clean: every transaction the closed loops begin closes by the
+        // time the engine drains.
+        for model in IoModel::ALL {
+            for vms in [1, 4] {
+                for profile in [TxnProfile::apache(), TxnProfile::memcached()] {
+                    let o = run(model, vms, profile, false);
+                    o.assert_clean(&format!("txn {model} x{vms}"));
+                    let rep = o.report();
+                    assert!(rep.flows_begun > 0, "{model}: the oracle saw no flow");
+                    assert_eq!(rep.flows_begun, rep.flows_completed + rep.flows_dropped);
+                }
+            }
+        }
+        // A flow begun outside the workload never closes, and the run's
+        // own end-of-run audit reports it.
+        let v = run(IoModel::Vrio, 2, TxnProfile::memcached(), true).violations();
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].invariant, "exactly-once");
+        assert!(v[0].message.contains("injected flow 1"), "{}", v[0].message);
     }
 
     #[test]

@@ -98,24 +98,8 @@ pub fn netperf_rr_sized(config: TestbedConfig, duration: SimDuration, resp_len: 
         deadline,
     };
     let mut eng: Engine<RrWorld> = Engine::new();
-    eng.set_profiler(world.tb.profiler.clone());
-    // Observe-only probe: count engine event firings on the tracer. The
-    // probe neither schedules nor draws randomness, so enabling it keeps
-    // the run bit-identical.
-    if world.tb.trace.enabled() || world.tb.oracle.enabled() {
-        let t = world.tb.trace.clone();
-        let o = world.tb.oracle.clone();
-        let p = world.tb.profiler.clone();
-        eng.set_probe(move |now| {
-            {
-                let _g = p.scope("probe.tracer");
-                t.on_engine_event();
-            }
-            let _g = p.scope("probe.oracle");
-            o.on_engine_event(now);
-        });
-    }
-    schedule_telemetry_grid(&world.tb, &mut eng, deadline);
+    world.tb.instrument(&mut eng);
+    world.tb.schedule_telemetry(&mut eng, deadline);
 
     fn issue(w: &mut RrWorld, eng: &mut Engine<RrWorld>, vm: usize, app: SimDuration, resp: usize) {
         net_request_response(
@@ -150,9 +134,7 @@ pub fn netperf_rr_sized(config: TestbedConfig, duration: SimDuration, resp_len: 
         }
     });
     eng.run(&mut world);
-    world.tb.export_thread_tracks();
-    world.tb.oracle.finish();
-    world.tb.oracle.audit_pool("skb pool", &world.tb.skb_pool);
+    world.tb.close_books();
 
     let mean = world.hist.mean();
     RrResult {
@@ -169,31 +151,6 @@ pub fn netperf_rr_sized(config: TestbedConfig, duration: SimDuration, resp_len: 
         slo: world.tb.slo.clone(),
         ring_ops: world.tb.ring_ops(),
         histogram: world.hist,
-    }
-}
-
-/// Pre-schedules the fixed telemetry sampling grid: one observe-only mark
-/// per interval through `deadline`. The whole grid is scheduled up front
-/// (rather than self-rescheduling) so the run still terminates when the
-/// workload drains; marks only read state, so runs with the grid are
-/// bit-identical to runs without it.
-pub(crate) fn schedule_telemetry_grid<W: HasTestbed>(
-    tb: &Testbed,
-    eng: &mut Engine<W>,
-    deadline: SimTime,
-) {
-    let Some(interval) = tb.telemetry.interval() else {
-        return;
-    };
-    let mut at = SimTime::ZERO + interval;
-    while at <= deadline {
-        eng.schedule_at(at, |w: &mut W, eng: &mut Engine<W>| {
-            let now = eng.now();
-            let tb = w.tb();
-            let _g = tb.profiler.scope("telemetry.sample");
-            tb.sample_telemetry(now);
-        });
-        at += interval;
     }
 }
 
@@ -276,16 +233,8 @@ pub fn netperf_stream_sized(
         busy_at_warmup: SimDuration::ZERO,
     };
     let mut eng: Engine<StreamWorld> = Engine::new();
-    eng.set_profiler(world.tb.profiler.clone());
-    if world.tb.oracle.enabled() {
-        let o = world.tb.oracle.clone();
-        let p = world.tb.profiler.clone();
-        eng.set_probe(move |now| {
-            let _g = p.scope("probe.oracle");
-            o.on_engine_event(now);
-        });
-    }
-    schedule_telemetry_grid(&world.tb, &mut eng, deadline);
+    world.tb.instrument(&mut eng);
+    world.tb.schedule_telemetry(&mut eng, deadline);
 
     fn pump(w: &mut StreamWorld, eng: &mut Engine<StreamWorld>, vm: usize, msg_bytes: u64) {
         stream_batch(w, eng, vm, BATCH, msg_bytes, move |w, eng| {
@@ -308,8 +257,7 @@ pub fn netperf_stream_sized(
         w.busy_at_warmup = w.tb.vmside_busy();
     });
     eng.run(&mut world);
-    world.tb.oracle.finish();
-    world.tb.oracle.audit_pool("skb pool", &world.tb.skb_pool);
+    world.tb.close_books();
 
     let bits = world.delivered_msgs * msg_bytes * 8;
     let gbps = bits as f64 / duration.as_secs_f64() / 1e9;

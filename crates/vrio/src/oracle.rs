@@ -41,7 +41,6 @@
 //! span, counts) to act on.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use vrio_hv::QueueAudit;
@@ -169,8 +168,9 @@ struct Inner {
     /// Sanctioned steering handoffs (failover re-pins), counted so chaos
     /// reports can show how often devices migrated between IOhosts.
     steer_handoffs: u64,
-    /// Last mark time per live span.
-    span_last: HashMap<SpanId, SimTime>,
+    /// Last mark time per span, indexed by [`SpanId::index`]; `None`
+    /// until the span's first mark.
+    span_last: Vec<Option<SimTime>>,
     last_engine_event: Option<SimTime>,
     violations: Vec<Violation>,
     violations_dropped: u64,
@@ -650,24 +650,19 @@ impl Oracle {
         }
         let mut i = inner.borrow_mut();
         i.checks += 1;
-        match i.span_last.get_mut(&span) {
-            Some(last) => {
-                if now < *last {
-                    let prev = *last;
-                    i.violate(
-                        "causality",
-                        format!(
-                            "span {span:?} marked '{stage}' at {now:?}, before its \
-                             previous mark at {prev:?} — lifecycle stages ran backwards"
-                        ),
-                    );
-                } else {
-                    *last = now;
-                }
-            }
-            None => {
-                i.span_last.insert(span, now);
-            }
+        let k = span.index();
+        if k >= i.span_last.len() {
+            i.span_last.resize(k + 1, None);
+        }
+        match i.span_last[k] {
+            Some(prev) if now < prev => i.violate(
+                "causality",
+                format!(
+                    "span {span:?} marked '{stage}' at {now:?}, before its \
+                     previous mark at {prev:?} — lifecycle stages ran backwards"
+                ),
+            ),
+            _ => i.span_last[k] = Some(now),
         }
     }
 

@@ -203,6 +203,18 @@ enum FlowEnd {
     BlkDone,
 }
 
+impl FlowEnd {
+    /// Whether the flow's request is booked in the per-tenant SLO ledger.
+    /// Block requests are the one exception: the tracer and the oracle
+    /// book them, the SLO ledger does not, because the perf benchmark
+    /// (`perfbench/src/flows.rs`) checks the ledger's completions against
+    /// its request-response count.
+    #[inline]
+    fn in_slo(self) -> bool {
+        matches!(self, FlowEnd::Rr | FlowEnd::Stream)
+    }
+}
+
 /// Index of a [`Flow`] record in the testbed's flow slab.
 type FlowId = usize;
 
@@ -519,9 +531,7 @@ fn finish_flow<W: HasTestbed>(w: &mut W, eng: &mut Engine<W>, id: FlowId) {
             let latency = now - o.t0;
             let response = std::mem::take(&mut f.response);
             tb.flows.close(id);
-            tb.trace.end(o.span, now);
-            tb.oracle.flow_complete(o.token, now);
-            tb.slo.complete(o.vm, latency.as_micros_f64());
+            tb.complete_request(o, end, now);
             if end == FlowEnd::Rr {
                 tb.rr_outcome = Some(RrOutcome { latency, response });
             }
@@ -572,20 +582,14 @@ pub struct TestbedConfig {
     /// monitor/mwait low-power state and pay this extra wake-up latency on
     /// the next packet (trading latency for polling energy).
     pub sidecore_mwait_wake: Option<SimDuration>,
-    /// §4.6 fault tolerance: the IOhost crashes at this instant. Net
-    /// front-ends fail over to regular local virtio once the health
-    /// monitor detects the crash (vhost work runs on the VM's own cores —
-    /// vRIO VMhosts have no sidecores); in-flight and new block requests
-    /// fail through the retransmission machinery, as when the storage
-    /// "resides exclusively on the IOhost". Sugar for a one-entry
-    /// [`TestbedConfig::iohost_outages`] schedule.
-    pub iohost_fails_at: Option<SimTime>,
-    /// When the IOhost crashed via [`TestbedConfig::iohost_fails_at`]
-    /// comes back up. Heartbeats resume being acked, the health monitors
-    /// fail back, and net traffic returns to vRIO. `None` = never.
-    pub iohost_recovers_at: Option<SimTime>,
-    /// Explicit IOhost crash/recover schedule, merged with the
-    /// `iohost_fails_at`/`iohost_recovers_at` sugar pair.
+    /// §4.6 fault tolerance: the primary IOhost's crash/recover schedule.
+    /// While it is down, net front-ends fail over (to a backup, or to
+    /// regular local virtio with the vhost work on the VM's own cores —
+    /// vRIO VMhosts have no sidecores) once the health monitor detects
+    /// the crash; in-flight and new block requests fail through the
+    /// retransmission machinery, as when the storage "resides exclusively
+    /// on the IOhost". After an outage's `recovers_at`, heartbeats are
+    /// acked again, the monitors fail back and net traffic returns to vRIO.
     pub iohost_outages: Vec<Outage>,
     /// Number of IOhosts in each VMhost's ordered preference list (N+1
     /// redundancy). With more than one, vRIO traffic fails over primary →
@@ -594,8 +598,8 @@ pub struct TestbedConfig {
     /// ladder exactly.
     pub num_iohosts: usize,
     /// Outage schedules for the backup IOhosts (index 0 = IOhost 1, the
-    /// first backup); the primary's schedule comes from
-    /// `iohost_fails_at`/`iohost_outages`. Must not name more hosts than
+    /// first backup); the primary's schedule is
+    /// [`TestbedConfig::iohost_outages`]. Must not name more hosts than
     /// `num_iohosts - 1`.
     pub backup_outages: Vec<Vec<Outage>>,
     /// Overload-aware admission control at each IOhost (queue-depth
@@ -667,8 +671,6 @@ impl TestbedConfig {
             tail_model: false,
             retx: RetxConfig::default(),
             sidecore_mwait_wake: None,
-            iohost_fails_at: None,
-            iohost_recovers_at: None,
             iohost_outages: Vec::new(),
             num_iohosts: 1,
             backup_outages: Vec::new(),
@@ -685,28 +687,16 @@ impl TestbedConfig {
         }
     }
 
-    /// The full outage schedule: the `iohost_fails_at`/`iohost_recovers_at`
-    /// sugar pair merged with the explicit [`TestbedConfig::iohost_outages`]
-    /// list, sorted by crash time.
-    pub fn outage_schedule(&self) -> Vec<Outage> {
-        let mut v = self.iohost_outages.clone();
-        if let Some(fails_at) = self.iohost_fails_at {
-            v.push(Outage {
-                fails_at,
-                recovers_at: self.iohost_recovers_at,
-            });
-        }
-        v.sort_by_key(|o| o.fails_at);
-        v
-    }
-
     /// Per-IOhost outage schedules for the full redundancy ladder: index
-    /// 0 is the primary's merged [`TestbedConfig::outage_schedule`], then
-    /// the configured [`TestbedConfig::backup_outages`], padded with
-    /// never-down schedules out to [`TestbedConfig::num_iohosts`].
+    /// 0 is the primary's [`TestbedConfig::iohost_outages`] sorted by
+    /// crash time, then the configured [`TestbedConfig::backup_outages`],
+    /// padded with never-down schedules out to
+    /// [`TestbedConfig::num_iohosts`].
     pub fn outage_schedules(&self) -> Vec<Vec<Outage>> {
+        let mut primary = self.iohost_outages.clone();
+        primary.sort_by_key(|o| o.fails_at);
         let mut v = Vec::with_capacity(self.num_iohosts.max(1));
-        v.push(self.outage_schedule());
+        v.push(primary);
         v.extend(self.backup_outages.iter().cloned());
         while v.len() < self.num_iohosts {
             v.push(Vec::new());
@@ -945,6 +935,10 @@ pub struct Testbed {
     pub trace: Tracer,
     /// The simulation oracle (inert unless the config enables it).
     pub oracle: Oracle,
+    /// Whether the tracer or the oracle is on, which the config fixes at
+    /// build time. Compiled flows then carry [`Step::Mark`]s and the
+    /// engine carries the probe (see [`Testbed::instrument`]).
+    observed: bool,
     /// Per VM, the ring generation at which [`Testbed::audit_rings`] last
     /// audited its queues (`None`: never audited).
     audited_gen: Vec<Option<u64>>,
@@ -1080,6 +1074,7 @@ impl Testbed {
             flows: FlowSlab::default(),
             rr_outcome: None,
             blk_outcome: None,
+            observed: trace.enabled() || oracle.enabled(),
             trace,
             oracle,
             audited_gen: vec![None; config.num_vms],
@@ -1116,6 +1111,58 @@ impl Testbed {
             for q in vm.ring_audit() {
                 self.oracle.audit_queue(vm.id.0, &q);
             }
+        }
+    }
+
+    /// Opens a flow record for a new request of `kind` from VM `vm`,
+    /// issued at `t0` in `stage`, and books it with every observer in one
+    /// fixed order: a tracer span, an oracle exactly-once flow, then an
+    /// SLO offer (see [`FlowEnd::in_slo`]).
+    #[inline]
+    fn open_request(
+        &mut self,
+        kind: &'static str,
+        vm: usize,
+        stage: Stage,
+        t0: SimTime,
+        end: FlowEnd,
+    ) -> FlowId {
+        let span = self.trace.begin(kind, req_track(vm), stage, t0);
+        let token = self.oracle.flow_begin(kind, t0);
+        if end.in_slo() {
+            self.slo.offer(vm);
+        }
+        self.flows.open(end, origin(vm, t0, span, token))
+    }
+
+    /// Books network request `o` as dropped at `now` for `cause`: its
+    /// span is discarded, its oracle flow closed as a drop, and the drop
+    /// attributed in the SLO ledger. Only network requests drop; a block
+    /// request rides retransmission to a completion or a device error.
+    #[inline]
+    fn drop_request(&mut self, o: Origin, cause: DropCause, now: SimTime) {
+        self.trace.abort(o.span);
+        self.oracle.flow_drop(o.token, now);
+        self.slo.record_drop(o.vm, cause);
+    }
+
+    /// Books request `o` as completed at `now`: its span ends, its oracle
+    /// flow closes, and its latency lands in the SLO ledger.
+    #[inline]
+    fn complete_request(&mut self, o: Origin, end: FlowEnd, now: SimTime) {
+        self.trace.end(o.span, now);
+        self.oracle.flow_complete(o.token, now);
+        if end.in_slo() {
+            self.slo.complete(o.vm, (now - o.t0).as_micros_f64());
+        }
+    }
+
+    /// Appends a lifecycle [`Step::Mark`] to a flow program being compiled,
+    /// when flows carry marks (tracer or oracle on).
+    #[inline]
+    fn mark(&self, s: &mut Vec<Step>, stage: Stage) {
+        if self.observed {
+            s.push(Step::Mark(stage));
         }
     }
 
@@ -1468,7 +1515,8 @@ impl Testbed {
     /// [`Step::IngressGate`]: `false` when the frame is lost or shed.
     fn ingress_gate(&mut self, id: FlowId, iohost: usize, backend: usize, now: SimTime) -> bool {
         let f = &self.flows.recs[id];
-        let (vm, token, whole_request) = (f.origin.vm, f.origin.token, f.end != FlowEnd::BlkDone);
+        let (o, whole_request) = (f.origin, f.end != FlowEnd::BlkDone);
+        let vm = o.vm;
         let cap = self.config.iohost_rx_ring;
         // Attribute each loss to exactly one cause, tested in a fixed
         // order with the RNG draws short-circuiting.
@@ -1501,8 +1549,7 @@ impl Testbed {
         self.backends[backend].pending -= 1;
         self.release_backend(vm, backend);
         if whole_request {
-            self.oracle.flow_drop(token, now);
-            self.slo.record_drop(vm, cause);
+            self.drop_request(o, cause, now);
         }
         false
     }
@@ -1615,13 +1662,7 @@ pub fn net_request_response<W: HasTestbed>(
     let t0 = eng.now();
     // Lifecycle span: stage transitions ride the step list as inline
     // `Step::Mark`s, so tracing never reorders events or touches RNG.
-    let tracing = tb.trace.enabled() || tb.oracle.enabled();
-    let span = tb
-        .trace
-        .begin("net_rr", req_track(vm), Stage::Generator, t0);
-    let flow = tb.oracle.flow_begin("net_rr", t0);
-    tb.slo.offer(vm);
-    let id = tb.flows.open(FlowEnd::Rr, origin(vm, t0, span, flow));
+    let id = tb.open_request("net_rr", vm, Stage::Generator, t0, FlowEnd::Rr);
     let req_wire = req.len() + 64; // headers on the wire
     let resp_wire = resp_len + 64;
     // Responses larger than one MSS leave as multiple wire packets, each
@@ -1634,9 +1675,7 @@ pub fn net_request_response<W: HasTestbed>(
     // 1. Generator sends the request.
     let gen_work = tb.jitter(costs.generator_stack) + tb.gen_extra(vm);
     s.push(Step::Charge(CoreRef::Gen(vm), gen_work));
-    if tracing {
-        s.push(Step::Mark(Stage::Wire));
-    }
+    tb.mark(&mut s, Stage::Wire);
     s.push(Step::Charge(CoreRef::HostLink(host), tb.wire(req_wire)));
     s.push(Step::Fixed(tb.config.hop_latency));
 
@@ -1644,11 +1683,10 @@ pub fn net_request_response<W: HasTestbed>(
     // ends here: the flow never runs and `done` is dropped.
     let backend = tb.pick_backend_at(vm, iohost);
     let firewalled = |tb: &mut Testbed, s: Vec<Step>| {
+        let o = tb.flows.recs[id].origin;
         tb.flows.recs[id].steps = s;
         tb.flows.close(id);
-        tb.trace.abort(span);
-        tb.oracle.flow_drop(flow, t0);
-        tb.slo.record_drop(vm, DropCause::Firewall);
+        tb.drop_request(o, DropCause::Firewall, t0);
     };
     match model {
         IoModel::Optimum => {
@@ -1657,18 +1695,14 @@ pub fn net_request_response<W: HasTestbed>(
             s.push(Step::Count(CounterKind::GuestIntr));
             tb.flows.recs[id].data = req.clone();
             s.push(Step::DeliverRx);
-            if tracing {
-                s.push(Step::Mark(Stage::Interrupt));
-            }
+            tb.mark(&mut s, Stage::Interrupt);
             let w1 = tb.jitter(costs.guest_interrupt + costs.guest_stack_rx);
             s.push(Step::ChargeVm(vm, w1));
         }
         IoModel::Elvis => {
             s.push(Step::Fixed(costs.nic_dma));
             s.push(Step::Count(CounterKind::HostIntr));
-            if tracing {
-                s.push(Step::Mark(Stage::Backend));
-            }
+            tb.mark(&mut s, Stage::Backend);
             let w_irq = tb.jitter(costs.host_interrupt);
             s.push(Step::Charge(CoreRef::Backend(backend), w_irq));
             let (fwd, icost) = tb.interpose(Direction::Inbound, req.clone());
@@ -1681,9 +1715,7 @@ pub fn net_request_response<W: HasTestbed>(
             s.push(Step::DeliverRx);
             s.push(Step::Fixed(costs.eli_delivery));
             s.push(Step::Count(CounterKind::GuestIntr));
-            if tracing {
-                s.push(Step::Mark(Stage::Interrupt));
-            }
+            tb.mark(&mut s, Stage::Interrupt);
             let w1 = tb.jitter(costs.guest_interrupt + costs.guest_stack_rx);
             s.push(Step::ChargeVm(vm, w1));
         }
@@ -1694,9 +1726,7 @@ pub fn net_request_response<W: HasTestbed>(
             // Loss/ring-overflow gate (net traffic: a drop means the
             // request is simply lost; TCP above retransmits).
             s.push(Step::IngressGate { iohost, backend });
-            if tracing {
-                s.push(Step::Mark(Stage::WorkerPickup));
-            }
+            tb.mark(&mut s, Stage::WorkerPickup);
             if model == IoModel::VrioNoPoll {
                 s.push(Step::Count(CounterKind::IohostIntr));
                 let w_irq = tb.jitter(costs.host_interrupt);
@@ -1705,9 +1735,7 @@ pub fn net_request_response<W: HasTestbed>(
                 s.push(Step::Pickup(backend));
             }
             s.push(Step::RingPop(backend));
-            if tracing {
-                s.push(Step::Mark(Stage::Backend));
-            }
+            tb.mark(&mut s, Stage::Backend);
             // Worker: interpose, encapsulate as a vRIO NetRx message, and
             // retransmit toward the VMhost (real protocol bytes).
             let (fwd, icost) = tb.interpose(Direction::Inbound, req.clone());
@@ -1736,9 +1764,7 @@ pub fn net_request_response<W: HasTestbed>(
                     costs.host_interrupt,
                 ));
             }
-            if tracing {
-                s.push(Step::Mark(Stage::Wire));
-            }
+            tb.mark(&mut s, Stage::Wire);
             s.push(Step::Fixed(costs.nic_dma));
             s.push(Step::Charge(
                 CoreRef::IohostLink(iohost),
@@ -1754,18 +1780,14 @@ pub fn net_request_response<W: HasTestbed>(
             f.encoded = encoded;
             f.fwd_check = fwd_check;
             s.push(Step::DecapNetRx);
-            if tracing {
-                s.push(Step::Mark(Stage::Interrupt));
-            }
+            tb.mark(&mut s, Stage::Interrupt);
             let w1 = tb.jitter(costs.guest_interrupt + costs.vrio_decap + costs.guest_stack_rx);
             s.push(Step::ChargeVm(vm, w1));
         }
         IoModel::Baseline => {
             s.push(Step::Fixed(costs.nic_dma));
             s.push(Step::Count(CounterKind::HostIntr));
-            if tracing {
-                s.push(Step::Mark(Stage::Backend));
-            }
+            tb.mark(&mut s, Stage::Backend);
             let w_irq = tb.jitter(costs.host_interrupt);
             s.push(Step::Charge(CoreRef::Backend(backend), w_irq));
             let (fwd, icost) = tb.interpose(Direction::Inbound, req.clone());
@@ -1783,23 +1805,17 @@ pub fn net_request_response<W: HasTestbed>(
             ));
             s.push(Step::Count(CounterKind::GuestIntr));
             s.push(Step::Count(CounterKind::Exit)); // EOI exit
-            if tracing {
-                s.push(Step::Mark(Stage::Interrupt));
-            }
+            tb.mark(&mut s, Stage::Interrupt);
             let w1 = tb.jitter(costs.guest_interrupt + costs.exit + costs.guest_stack_rx);
             s.push(Step::ChargeVm(vm, w1));
         }
     }
 
     // 3. Guest application work + transmit of the response.
-    if tracing {
-        s.push(Step::Mark(Stage::AppWork));
-    }
+    tb.mark(&mut s, Stage::AppWork);
     let w_app = tb.jitter(app_time);
     s.push(Step::ChargeVm(vm, w_app));
-    if tracing {
-        s.push(Step::Mark(Stage::Kick));
-    }
+    tb.mark(&mut s, Stage::Kick);
     tb.flows.recs[id].response = tb.resp_payload(resp_len);
     s.push(Step::SendResp);
     // GSO amortizes the per-packet guest cost for multi-packet responses.
@@ -1826,13 +1842,9 @@ pub fn net_request_response<W: HasTestbed>(
             s.push(Step::ChargeVmAsync(vm, costs.guest_interrupt));
         }
         IoModel::Elvis => {
-            if tracing {
-                s.push(Step::Mark(Stage::WorkerPickup));
-            }
+            tb.mark(&mut s, Stage::WorkerPickup);
             s.push(Step::Fixed(costs.poll_pickup));
-            if tracing {
-                s.push(Step::Mark(Stage::Backend));
-            }
+            tb.mark(&mut s, Stage::Backend);
             let w_be = tb.jitter(costs.elvis_backend_net) * packets;
             s.push(Step::Charge(CoreRef::Backend(backend_out), w_be));
             s.push(Step::FetchTx(Some(Direction::Outbound)));
@@ -1850,9 +1862,7 @@ pub fn net_request_response<W: HasTestbed>(
         }
         IoModel::Vrio | IoModel::VrioNoPoll => {
             s.push(Step::FetchTx(None));
-            if tracing {
-                s.push(Step::Mark(Stage::Wire));
-            }
+            tb.mark(&mut s, Stage::Wire);
             s.push(Step::Fixed(costs.nic_dma));
             s.push(Step::Charge(
                 CoreRef::HostLink(host),
@@ -1868,9 +1878,7 @@ pub fn net_request_response<W: HasTestbed>(
                 iohost,
                 backend: backend_out,
             });
-            if tracing {
-                s.push(Step::Mark(Stage::WorkerPickup));
-            }
+            tb.mark(&mut s, Stage::WorkerPickup);
             if model == IoModel::VrioNoPoll {
                 // Interrupt-driven IOhost: the response arrives as several
                 // jumbo fragments, each raising an interrupt that also
@@ -1884,9 +1892,7 @@ pub fn net_request_response<W: HasTestbed>(
                 s.push(Step::Pickup(backend_out));
             }
             s.push(Step::RingPop(backend_out));
-            if tracing {
-                s.push(Step::Mark(Stage::Backend));
-            }
+            tb.mark(&mut s, Stage::Backend);
             // The worker re-segments the message into `packets` wire
             // packets for the outside world; per-packet work is batched.
             let w_worker = tb.jitter(costs.vrio_worker_net + costs.reassemble_per_frag)
@@ -1909,9 +1915,7 @@ pub fn net_request_response<W: HasTestbed>(
             s.push(Step::Fixed(costs.nic_dma));
         }
         IoModel::Baseline => {
-            if tracing {
-                s.push(Step::Mark(Stage::Backend));
-            }
+            tb.mark(&mut s, Stage::Backend);
             let w_be = tb.jitter(costs.vhost_wakeup + costs.vhost_backend) * packets;
             s.push(Step::Charge(CoreRef::Backend(backend_out), w_be));
             s.push(Step::FetchTx(Some(Direction::Outbound)));
@@ -1938,14 +1942,10 @@ pub fn net_request_response<W: HasTestbed>(
     }
 
     // 5. Wire back to the generator and receive.
-    if tracing {
-        s.push(Step::Mark(Stage::Wire));
-    }
+    tb.mark(&mut s, Stage::Wire);
     s.push(Step::Charge(CoreRef::HostLink(host), tb.wire(resp_wire)));
     s.push(Step::Fixed(tb.config.hop_latency));
-    if tracing {
-        s.push(Step::Mark(Stage::Completion));
-    }
+    tb.mark(&mut s, Stage::Completion);
     let gen_rx = tb.jitter(costs.generator_stack) + tb.gen_extra(vm);
     s.push(Step::Charge(CoreRef::Gen(vm), gen_rx));
     let tail = tb.tail_extra();
@@ -1974,21 +1974,13 @@ fn fallback_request_response<W: HasTestbed>(
     let costs = tb.config.costs.clone();
     let host = tb.vm_host[vm];
     let t0 = eng.now();
-    let tracing = tb.trace.enabled() || tb.oracle.enabled();
-    let span = tb
-        .trace
-        .begin("net_rr_fallback", req_track(vm), Stage::Generator, t0);
-    let flow = tb.oracle.flow_begin("net_rr_fallback", t0);
-    tb.slo.offer(vm);
-    let id = tb.flows.open(FlowEnd::Rr, origin(vm, t0, span, flow));
+    let id = tb.open_request("net_rr_fallback", vm, Stage::Generator, t0, FlowEnd::Rr);
     let packets = (resp_len.div_ceil(1448)).max(1) as u64;
     let mut s = tb.flows.take_steps(id);
 
     let gen_work = tb.jitter(costs.generator_stack) + tb.gen_extra(vm);
     s.push(Step::Charge(CoreRef::Gen(vm), gen_work));
-    if tracing {
-        s.push(Step::Mark(Stage::Wire));
-    }
+    tb.mark(&mut s, Stage::Wire);
     s.push(Step::Charge(
         CoreRef::HostLink(host),
         tb.wire(req.len() + 64),
@@ -1997,9 +1989,7 @@ fn fallback_request_response<W: HasTestbed>(
     s.push(Step::Fixed(costs.nic_dma));
     // Inbound: interrupt + vhost pass + injection, all on the VM core.
     s.push(Step::Count(CounterKind::HostIntr));
-    if tracing {
-        s.push(Step::Mark(Stage::Backend));
-    }
+    tb.mark(&mut s, Stage::Backend);
     let w_in = tb.jitter(
         costs.host_interrupt + costs.vhost_wakeup + costs.vhost_backend + costs.interrupt_injection,
     );
@@ -2009,18 +1999,12 @@ fn fallback_request_response<W: HasTestbed>(
     s.push(Step::DeliverRx);
     s.push(Step::Count(CounterKind::GuestIntr));
     s.push(Step::Count(CounterKind::Exit)); // EOI
-    if tracing {
-        s.push(Step::Mark(Stage::Interrupt));
-    }
+    tb.mark(&mut s, Stage::Interrupt);
     let w_rx = tb.jitter(costs.guest_interrupt + costs.exit + costs.guest_stack_rx);
     s.push(Step::ChargeVm(vm, w_rx));
-    if tracing {
-        s.push(Step::Mark(Stage::AppWork));
-    }
+    tb.mark(&mut s, Stage::AppWork);
     s.push(Step::ChargeVm(vm, tb.jitter(app_time)));
-    if tracing {
-        s.push(Step::Mark(Stage::Kick));
-    }
+    tb.mark(&mut s, Stage::Kick);
     tb.flows.recs[id].response = tb.resp_payload(resp_len);
     s.push(Step::SendResp);
     // Outbound: kick exit + vhost pass per packet, all on the VM core.
@@ -2039,17 +2023,13 @@ fn fallback_request_response<W: HasTestbed>(
         (costs.host_interrupt + costs.interrupt_injection + costs.guest_interrupt + costs.exit)
             * packets,
     ));
-    if tracing {
-        s.push(Step::Mark(Stage::Wire));
-    }
+    tb.mark(&mut s, Stage::Wire);
     s.push(Step::Charge(
         CoreRef::HostLink(host),
         tb.wire(resp_len + 64),
     ));
     s.push(Step::Fixed(tb.config.hop_latency));
-    if tracing {
-        s.push(Step::Mark(Stage::Completion));
-    }
+    tb.mark(&mut s, Stage::Completion);
     let gen_rx = tb.jitter(costs.generator_stack) + tb.gen_extra(vm);
     s.push(Step::Charge(CoreRef::Gen(vm), gen_rx));
     tb.flows.recs[id].steps = s;
@@ -2082,13 +2062,7 @@ pub fn stream_batch<W: HasTestbed>(
     let t0 = eng.now();
     // Coarse three-stage span: guest batch production, backend+wire
     // traversal, generator-side receive.
-    let tracing = tb.trace.enabled() || tb.oracle.enabled();
-    let span = tb
-        .trace
-        .begin("stream_batch", req_track(vm), Stage::GuestEnqueue, t0);
-    let flow = tb.oracle.flow_begin("stream_batch", t0);
-    tb.slo.offer(vm);
-    let id = tb.flows.open(FlowEnd::Stream, origin(vm, t0, span, flow));
+    let id = tb.open_request("stream_batch", vm, Stage::GuestEnqueue, t0, FlowEnd::Stream);
     let mut s = tb.flows.take_steps(id);
 
     // Guest produces the batch.
@@ -2099,9 +2073,7 @@ pub fn stream_batch<W: HasTestbed>(
         _ => {}
     }
     s.push(Step::ChargeVm(vm, per_msg * msgs));
-    if tracing {
-        s.push(Step::Mark(Stage::Backend));
-    }
+    tb.mark(&mut s, Stage::Backend);
 
     // Backend processing + wire path. Streams keep riding whatever
     // IOhost the VM last routed to (no per-batch health consult: batches
@@ -2156,9 +2128,7 @@ pub fn stream_batch<W: HasTestbed>(
         }
     }
     s.push(Step::Fixed(tb.config.hop_latency));
-    if tracing {
-        s.push(Step::Mark(Stage::Completion));
-    }
+    tb.mark(&mut s, Stage::Completion);
 
     // Generator machine + core receive the batch.
     let gm_work = SimDuration::for_bytes_at_gbps(bytes, costs.gen_machine_gbps);
@@ -2212,10 +2182,7 @@ pub fn blk_request<W: HasTestbed>(
     let t0 = eng.now();
     let costs = w.tb().config.costs.clone();
     let tb = w.tb();
-    let span = tb
-        .trace
-        .begin("blk", req_track(vm), Stage::GuestEnqueue, t0);
-    let flow = tb.oracle.flow_begin("blk", t0);
+    let id = tb.open_request("blk", vm, Stage::GuestEnqueue, t0, FlowEnd::BlkSubmitted);
 
     // The front-end publishes the request on the real virtio ring; the
     // local back-end half (sidecore/vhost/transport) fetches it at once.
@@ -2231,9 +2198,6 @@ pub fn blk_request<W: HasTestbed>(
         tb.count(CounterKind::Exit);
         submit_work += costs.exit;
     }
-    let id = tb
-        .flows
-        .open(FlowEnd::BlkSubmitted, origin(vm, t0, span, flow));
     if vrio {
         let (wire_id, timeout) = tb.retx[vm].send(req.id, t0);
         tb.flows.recs[id].wire_id = wire_id;
@@ -2281,12 +2245,9 @@ fn local_blk_backend(tb: &mut Testbed, id: FlowId) {
     let vm = tb.flows.recs[id].origin.vm;
     let req = tb.flows.recs[id].req.clone().expect("block flow");
     let backend = tb.pick_backend_at(vm, 0); // local models: iohost unused
-    let tracing = tb.trace.enabled() || tb.oracle.enabled();
     tb.flows.recs[id].end = FlowEnd::BlkDone;
     let mut s = tb.flows.take_steps(id);
-    if tracing {
-        s.push(Step::Mark(Stage::Backend));
-    }
+    tb.mark(&mut s, Stage::Backend);
 
     // Interposition is charged on the data actually moved: the payload of
     // writes, the data returned by reads.
@@ -2320,16 +2281,12 @@ fn local_blk_backend(tb: &mut Testbed, id: FlowId) {
         .config
         .block_profile
         .service_time(req.kind, moved_bytes as u64);
-    if tracing {
-        s.push(Step::Mark(Stage::Device));
-    }
+    tb.mark(&mut s, Stage::Device);
     s.push(Step::Charge(CoreRef::Disk(vm), svc));
     s.push(Step::BlkExecute(None));
 
     // Completion pass back to the guest.
-    if tracing {
-        s.push(Step::Mark(Stage::Interrupt));
-    }
+    tb.mark(&mut s, Stage::Interrupt);
     match model {
         IoModel::Elvis => {
             let w_done = tb.jitter(costs.elvis_backend_blk) / 2;
@@ -2370,11 +2327,8 @@ fn blk_attempt(tb: &mut Testbed, id: FlowId, now: SimTime) {
     let payload = std::mem::take(&mut f.data);
     let req = f.req.clone().expect("block flow");
     let host = tb.vm_host[vm];
-    let tracing = tb.trace.enabled() || tb.oracle.enabled();
     let mut s = tb.flows.take_steps(id);
-    if tracing {
-        s.push(Step::Mark(Stage::Encap));
-    }
+    tb.mark(&mut s, Stage::Encap);
 
     // Transport: encapsulate (real bytes) and segment if needed.
     let mut blob = Vec::with_capacity(17 + payload.len());
@@ -2394,9 +2348,7 @@ fn blk_attempt(tb: &mut Testbed, id: FlowId, now: SimTime) {
     let frags = vrio_net::fragment_count(encoded.len().max(1), MTU_VRIO_JUMBO) as u64;
     let w_tx = tb.jitter(costs.vrio_encap) + costs.segment_per_frag * frags;
     s.push(Step::ChargeVm(vm, w_tx));
-    if tracing {
-        s.push(Step::Mark(Stage::Wire));
-    }
+    tb.mark(&mut s, Stage::Wire);
     s.push(Step::Fixed(costs.nic_dma));
     s.push(Step::Charge(
         CoreRef::HostLink(host),
@@ -2416,9 +2368,7 @@ fn blk_attempt(tb: &mut Testbed, id: FlowId, now: SimTime) {
     let backend = tb.pick_backend_at(vm, iohost);
     s.push(Step::RingPush(backend));
     s.push(Step::IngressGate { iohost, backend });
-    if tracing {
-        s.push(Step::Mark(Stage::WorkerPickup));
-    }
+    tb.mark(&mut s, Stage::WorkerPickup);
     if model == IoModel::VrioNoPoll {
         s.push(Step::Count(CounterKind::IohostIntr));
         s.push(Step::Charge(
@@ -2429,9 +2379,7 @@ fn blk_attempt(tb: &mut Testbed, id: FlowId, now: SimTime) {
         s.push(Step::Pickup(backend));
     }
     s.push(Step::RingPop(backend));
-    if tracing {
-        s.push(Step::Mark(Stage::Backend));
-    }
+    tb.mark(&mut s, Stage::Backend);
 
     // Worker: reassemble, decode, interpose, execute on the remote store.
     // Interposition cost is charged on the data moved (write payload or
@@ -2457,9 +2405,7 @@ fn blk_attempt(tb: &mut Testbed, id: FlowId, now: SimTime) {
         .config
         .block_profile
         .service_time(req.kind, moved_bytes as u64);
-    if tracing {
-        s.push(Step::Mark(Stage::Device));
-    }
+    tb.mark(&mut s, Stage::Device);
     s.push(Step::Charge(CoreRef::Disk(vm), svc));
     s.push(Step::BlkExecute(Some(backend)));
 
@@ -2469,9 +2415,7 @@ fn blk_attempt(tb: &mut Testbed, id: FlowId, now: SimTime) {
     let resp_frags = vrio_net::fragment_count(resp_len, MTU_VRIO_JUMBO) as u64;
     // The response pass is short: the request's reassembled buffer is
     // reused and the NIC's TSO does the segmentation (section 4.4).
-    if tracing {
-        s.push(Step::Mark(Stage::Backend));
-    }
+    tb.mark(&mut s, Stage::Backend);
     let w_resp = tb.jitter(costs.vrio_worker_blk) / 4 + costs.segment_per_frag * resp_frags;
     s.push(Step::Charge(CoreRef::Backend(backend), w_resp));
     if model == IoModel::VrioNoPoll {
@@ -2481,9 +2425,7 @@ fn blk_attempt(tb: &mut Testbed, id: FlowId, now: SimTime) {
             costs.host_interrupt,
         ));
     }
-    if tracing {
-        s.push(Step::Mark(Stage::Wire));
-    }
+    tb.mark(&mut s, Stage::Wire);
     s.push(Step::Charge(
         CoreRef::IohostLink(iohost),
         tb.wire(resp_len + 54 + 24),
@@ -2502,9 +2444,7 @@ fn blk_attempt(tb: &mut Testbed, id: FlowId, now: SimTime) {
     }
     s.push(Step::Fixed(costs.eli_delivery));
     s.push(Step::Count(CounterKind::GuestIntr));
-    if tracing {
-        s.push(Step::Mark(Stage::Interrupt));
-    }
+    tb.mark(&mut s, Stage::Interrupt);
     let w_guest = tb.jitter(
         costs.guest_interrupt
             + costs.vrio_decap
@@ -2575,8 +2515,7 @@ fn complete_blk<W: HasTestbed>(w: &mut W, eng: &mut Engine<W>, id: FlowId, statu
     if status != vrio_virtio::BLK_S_OK {
         tb.trace.instant("blk_device_error", req_track(o.vm), now);
     }
-    tb.trace.end(o.span, now);
-    tb.oracle.flow_complete(o.token, now);
+    tb.complete_request(o, FlowEnd::BlkDone, now);
     tb.blk_outcome = Some(BlkOutcome {
         latency: now - o.t0,
         status: c.status,
@@ -2591,12 +2530,80 @@ impl Testbed {
         self.counters = EventCounters::default();
     }
 
+    // -----------------------------------------------------------------
+    // The run harness: every workload that runs this testbed on an engine
+    // wires its observers through these three calls, so which observers
+    // a run has, and when each is told, is decided here and nowhere else.
+    // -----------------------------------------------------------------
+
+    /// Installs this testbed's observers on `eng` before the run: the
+    /// wall-clock profiler, and, when the tracer or the oracle is on, the
+    /// observe-only engine probe (tracer event count, oracle clock check).
+    /// The probe opens per-observer profiler scopes only when the profiler
+    /// is on. It neither schedules nor draws randomness, so an
+    /// instrumented run is bit-identical to a bare one.
+    pub fn instrument<W: HasTestbed>(&self, eng: &mut Engine<W>) {
+        eng.set_profiler(self.profiler.clone());
+        if !self.observed {
+            return;
+        }
+        let (t, o) = (self.trace.clone(), self.oracle.clone());
+        if self.profiler.enabled() {
+            let p = self.profiler.clone();
+            eng.set_probe(move |now| {
+                {
+                    let _g = p.scope("probe.tracer");
+                    t.on_engine_event();
+                }
+                let _g = p.scope("probe.oracle");
+                o.on_engine_event(now);
+            });
+        } else {
+            eng.set_probe(move |now| {
+                t.on_engine_event();
+                o.on_engine_event(now);
+            });
+        }
+    }
+
+    /// Pre-schedules the fixed telemetry sampling grid: one observe-only
+    /// sample per interval through `until` (a no-op when telemetry is
+    /// off). The whole grid is scheduled up front rather than
+    /// self-rescheduling, so the run still ends when the workload drains;
+    /// samples only read state, so runs with the grid are bit-identical
+    /// to runs without it.
+    pub fn schedule_telemetry<W: HasTestbed>(&self, eng: &mut Engine<W>, until: SimTime) {
+        let Some(interval) = self.telemetry.interval() else {
+            return;
+        };
+        let mut at = SimTime::ZERO + interval;
+        while at <= until {
+            eng.schedule_at(at, |w: &mut W, eng: &mut Engine<W>| {
+                let now = eng.now();
+                let tb = w.tb();
+                let _g = tb.profiler.scope("telemetry.sample");
+                tb.sample_telemetry(now);
+            });
+            at += interval;
+        }
+    }
+
+    /// Closes the run's books once the engine has drained: exports the
+    /// per-core thread tracks to the tracer, reports every request the
+    /// oracle saw begin but never close as an `exactly-once` leak, and
+    /// audits the SKB pool. Each is a no-op when its observer is off.
+    pub fn close_books(&self) {
+        self.export_thread_tracks();
+        self.oracle.finish();
+        self.oracle.audit_pool("skb pool", &self.skb_pool);
+    }
+
     /// Replays the VCPU and backend busy intervals into the tracer as
     /// per-core "thread" tracks (Chrome trace `tid`s
-    /// [`TRACK_VCPU_BASE`]` + vm` and [`TRACK_WORKER_BASE`]` + backend`).
-    /// Call once at end of run, after the engine has drained; a no-op when
+    /// [`TRACK_VCPU_BASE`]` + vm` and [`TRACK_WORKER_BASE`]` + backend`),
+    /// plus route transitions and breaker trips as instants. A no-op when
     /// tracing is off.
-    pub fn export_thread_tracks(&self) {
+    fn export_thread_tracks(&self) {
         if !self.trace.enabled() {
             return;
         }

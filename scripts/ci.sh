@@ -82,6 +82,13 @@ cargo run --release -q -p vrio-bench --bin checkjson -- \
     --require summary.total_dropped \
     --require summary.drops.fault_loss \
     --require summary.drops.shed_queue
+# Every replica closes its books (exactly-once leak and SKB pool audits)
+# and asserts the oracle clean, so each campaign is a correctness run.
+for c in rolling-restart correlated ge-storm surge; do
+    cargo run --release -q -p vrio-bench --bin repro -- \
+        --quick --chaos "$c" --threads 4 --json "$DET/ch4" > /dev/null 2> /dev/null \
+        || { echo "FAIL: chaos campaign $c"; exit 1; }
+done
 
 echo "==> telemetry gate: sampling and profiling are observe-only"
 cargo run --release -q -p vrio-bench --bin repro -- \

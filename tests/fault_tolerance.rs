@@ -7,16 +7,24 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use bytes::Bytes;
-use vrio::{blk_request, net_request_response, Testbed, TestbedConfig};
+use vrio::{blk_request, net_request_response, Outage, Testbed, TestbedConfig};
 use vrio_block::{BlockRequest, RequestId};
 use vrio_hv::IoModel;
 use vrio_sim::{Engine, SimDuration, SimTime};
 use vrio_virtio::BLK_S_IOERR;
 
+/// A primary-IOhost outage that starts at `at` and never recovers.
+fn crash_at(at: SimTime) -> Outage {
+    Outage {
+        fails_at: at,
+        recovers_at: None,
+    }
+}
+
 #[test]
 fn network_survives_iohost_crash_at_fallback_performance() {
     let mut cfg = TestbedConfig::simple(IoModel::Vrio, 2);
-    cfg.iohost_fails_at = Some(SimTime::ZERO + SimDuration::millis(10));
+    cfg.iohost_outages = vec![crash_at(SimTime::ZERO + SimDuration::millis(10))];
     let mut tb = Testbed::new(cfg);
     let mut eng = Engine::new();
 
@@ -39,7 +47,7 @@ fn network_survives_iohost_crash_at_fallback_performance() {
             4,
             SimDuration::micros(4),
             move |tb, eng, o| {
-                let fail_at = tb.config.iohost_fails_at.unwrap();
+                let fail_at = tb.config.iohost_outages[0].fails_at;
                 let l = o.latency.as_micros_f64();
                 if eng.now() < fail_at {
                     stats.borrow_mut().before.push(l);
@@ -99,7 +107,7 @@ fn network_survives_iohost_crash_at_fallback_performance() {
 #[test]
 fn iohost_resident_block_device_fails_cleanly() {
     let mut cfg = TestbedConfig::simple(IoModel::Vrio, 1);
-    cfg.iohost_fails_at = Some(SimTime::ZERO); // dead from the start
+    cfg.iohost_outages = vec![crash_at(SimTime::ZERO)]; // dead from the start
     cfg.retx.initial_timeout = SimDuration::micros(200);
     cfg.retx.max_attempts = 3;
     let mut tb = Testbed::new(cfg);
@@ -125,7 +133,7 @@ fn iohost_resident_block_device_fails_cleanly() {
 fn healthy_iohost_is_unaffected_by_the_knob() {
     // A failure scheduled after the horizon never triggers.
     let mut cfg = TestbedConfig::simple(IoModel::Vrio, 1);
-    cfg.iohost_fails_at = Some(SimTime::ZERO + SimDuration::secs(3600));
+    cfg.iohost_outages = vec![crash_at(SimTime::ZERO + SimDuration::secs(3600))];
     let mut tb = Testbed::new(cfg);
     let mut eng = Engine::new();
     let ok = Rc::new(RefCell::new(false));

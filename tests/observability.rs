@@ -156,3 +156,21 @@ fn chrome_export_is_a_valid_event_array() {
         .any(|e| e.get("name").and_then(Json::as_str) == Some(Stage::Backend.name()));
     assert!(has_stage, "no backend stage slices in the trace");
 }
+
+#[test]
+fn dropped_requests_leave_no_span_open() {
+    // A request lost to channel loss or a fault-injected burst is dropped
+    // whole; its span must be discarded then, so once the engine drains
+    // every span a traced run began has ended or been discarded.
+    let mut lossy = TestbedConfig::simple(IoModel::Vrio, 2);
+    lossy.channel_loss = 0.02;
+    lossy.trace = TraceConfig::memory();
+    for (what, c) in [
+        ("2% channel loss", lossy),
+        ("GE faults", rr_config(IoModel::Vrio, TraceConfig::memory())),
+    ] {
+        let r = netperf_rr(c, SimDuration::millis(30));
+        assert!(r.slo.total_dropped() > 0, "{what}: no request was dropped");
+        assert_eq!(r.trace.open_spans(), 0, "{what}: spans left open");
+    }
+}

@@ -9,7 +9,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use bytes::Bytes;
-use vrio::{blk_request, net_request_response, OracleConfig, Testbed, TestbedConfig};
+use vrio::{blk_request, net_request_response, OracleConfig, Outage, Testbed, TestbedConfig};
 use vrio_hv::IoModel;
 use vrio_net::{FaultConfig, GeConfig};
 use vrio_sim::{Engine, SimDuration, SimTime};
@@ -157,7 +157,7 @@ fn drive_blk_writes(mut config: TestbedConfig, n: u64, len: usize) -> Testbed {
     }
     chain(&mut tb, &mut eng, 0, n, len);
     eng.run(&mut tb);
-    tb.oracle.finish();
+    tb.close_books();
     tb
 }
 
@@ -218,8 +218,10 @@ fn run_failover(oracle: bool) -> (u64, Testbed) {
     let fail_at = SimTime::ZERO + horizon / 3;
     let recover_at = SimTime::ZERO + (horizon * 2u64) / 3;
     let mut cfg = TestbedConfig::simple(IoModel::Vrio, 2);
-    cfg.iohost_fails_at = Some(fail_at);
-    cfg.iohost_recovers_at = Some(recover_at);
+    cfg.iohost_outages = vec![Outage {
+        fails_at: fail_at,
+        recovers_at: Some(recover_at),
+    }];
     if oracle {
         cfg.oracle = OracleConfig::on();
     }
@@ -286,7 +288,7 @@ fn run_failover(oracle: bool) -> (u64, Testbed) {
         },
     );
     eng.run(&mut tb);
-    tb.oracle.finish();
+    tb.close_books();
     let n = *completed.borrow();
     (n, tb)
 }
@@ -496,7 +498,7 @@ fn ring_audit_changes_only_when_the_ring_generation_advances() {
         }
         seen = now;
     }
-    tb.oracle.finish();
+    tb.close_books();
     tb.oracle.assert_clean("ring generation run");
     let rel = tb.reliability_report();
     assert!(events > 10_000, "run too short: {events} events");
@@ -506,4 +508,32 @@ fn ring_audit_changes_only_when_the_ring_generation_advances() {
     );
     assert!(rel.retransmissions > 0, "no retransmission exercised");
     assert!(rel.block_completed > 50, "{rel:?}");
+}
+
+// ---------------------------------------------------------------------------
+// Closing the books: the end-of-run audits every workload shares
+// ---------------------------------------------------------------------------
+
+#[test]
+fn close_books_reports_a_request_that_never_closed() {
+    // One request begun on an oracle-on testbed whose engine never runs:
+    // its flow is still open when the books close.
+    let mut c = TestbedConfig::simple(IoModel::Vrio, 1);
+    c.oracle = OracleConfig::on();
+    let mut tb = Testbed::new(c);
+    let mut eng: Engine<Testbed> = Engine::new();
+    net_request_response(
+        &mut tb,
+        &mut eng,
+        0,
+        Bytes::from_static(b"?"),
+        1,
+        SimDuration::micros(4),
+        |_, _, _| {},
+    );
+    tb.close_books();
+    let v = tb.oracle.violations();
+    assert_eq!(v.len(), 1, "{v:?}");
+    assert_eq!(v[0].invariant, "exactly-once");
+    assert!(v[0].message.contains("net_rr flow 1"), "{}", v[0].message);
 }

@@ -9,7 +9,7 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use bytes::Bytes;
-use vrio::{blk_request, net_request_response, HealthState, Testbed, TestbedConfig};
+use vrio::{blk_request, net_request_response, HealthState, Outage, Testbed, TestbedConfig};
 use vrio_block::{BlockRequest, RequestId};
 use vrio_hv::{IoModel, ReliabilityCounters};
 use vrio_sim::{Engine, SimDuration, SimTime};
@@ -44,8 +44,10 @@ struct RunResult {
 fn run_scenario(seed: u64) -> RunResult {
     let mut cfg = TestbedConfig::simple(IoModel::Vrio, 2);
     cfg.seed = seed;
-    cfg.iohost_fails_at = Some(SimTime::ZERO + SimDuration::millis(CRASH_MS));
-    cfg.iohost_recovers_at = Some(SimTime::ZERO + SimDuration::millis(RECOVER_MS));
+    cfg.iohost_outages = vec![Outage {
+        fails_at: SimTime::ZERO + SimDuration::millis(CRASH_MS),
+        recovers_at: Some(SimTime::ZERO + SimDuration::millis(RECOVER_MS)),
+    }];
     let mut tb = Testbed::new(cfg);
     let mut eng = Engine::new();
 

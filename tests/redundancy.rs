@@ -49,8 +49,10 @@ struct RunResult {
 fn run_scenario(seed: u64, backup_outages: Vec<Vec<Outage>>) -> RunResult {
     let mut cfg = TestbedConfig::simple(IoModel::Vrio, 2).with_iohosts(2);
     cfg.seed = seed;
-    cfg.iohost_fails_at = Some(ms(CRASH_MS));
-    cfg.iohost_recovers_at = Some(ms(RECOVER_MS));
+    cfg.iohost_outages = vec![Outage {
+        fails_at: ms(CRASH_MS),
+        recovers_at: Some(ms(RECOVER_MS)),
+    }];
     cfg.backup_outages = backup_outages;
     cfg.oracle = OracleConfig::on();
     let mut tb = Testbed::new(cfg);
